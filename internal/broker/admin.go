@@ -346,56 +346,47 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 	for si, loc := range locs {
 		perHeap[loc.heap] = append(perHeap[loc.heap], si)
 	}
-	var wg sync.WaitGroup
-	for hi, shards := range perHeap {
-		if len(shards) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(hi int, shards []int) {
-			defer wg.Done()
-			h := b.hs.Heap(hi)
-			for _, si := range shards {
-				view := h.View(locs[si].base, width)
-				if reused[si] {
-					// Scrub a free-list window's root slots before building
-					// on it: the retired queue's slots (acked frontier,
-					// epoch...) would otherwise survive wherever the new
-					// queue kind does not overwrite them and mislead the
-					// recovery dispatch. The constructor's own persist on
-					// this heap orders the scrub durably before the
-					// record's anchor, so a crash never sees a committed
-					// topic on an unscrubbed window.
-					for slot := 0; slot < width; slot++ {
-						view.Store(tid, view.RootAddr(slot), 0)
-						view.Flush(tid, view.RootAddr(slot))
-					}
+	fanOut(perHeap, func(hi int, shards []int) {
+		h := b.hs.Heap(hi)
+		for _, si := range shards {
+			view := h.View(locs[si].base, width)
+			if reused[si] {
+				// Scrub a free-list window's root slots before building
+				// on it: the retired queue's slots (acked frontier,
+				// epoch...) would otherwise survive wherever the new
+				// queue kind does not overwrite them and mislead the
+				// recovery dispatch. The constructor's own persist on
+				// this heap orders the scrub durably before the
+				// record's anchor, so a crash never sees a committed
+				// topic on an unscrubbed window.
+				for slot := 0; slot < width; slot++ {
+					view.Store(tid, view.RootAddr(slot), 0)
+					view.Flush(tid, view.RootAddr(slot))
 				}
-				var s *shard
-				switch {
-				case tc.Kind.heapKind():
-					s = &shard{heapq: dheap.New(view, dheap.Config{
-						Threads: b.threads, MaxPayload: tc.MaxPayload, InitTid: tid,
-					})}
-				case tc.MaxPayload == 0:
-					if tc.Acked {
-						s = &shard{fixed: queues.NewOptUnlinkedQAckedAs(view, b.threads, tid)}
-					} else {
-						s = &shard{fixed: queues.NewOptUnlinkedQAs(view, b.threads, tid)}
-					}
-				default:
-					s = &shard{blob: blobq.New(view, blobq.Config{
-						Threads: b.threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked, InitTid: tid,
-					})}
-				}
-				s.heap = hi
-				s.h = view
-				s.acked = tc.Acked
-				t.shards[si] = s
 			}
-		}(hi, shards)
-	}
-	wg.Wait()
+			var s *shard
+			switch {
+			case tc.Kind.heapKind():
+				s = &shard{heapq: dheap.New(view, dheap.Config{
+					Threads: b.threads, MaxPayload: tc.MaxPayload, InitTid: tid,
+				})}
+			case tc.MaxPayload == 0:
+				if tc.Acked {
+					s = &shard{fixed: queues.NewOptUnlinkedQAckedAs(view, b.threads, tid)}
+				} else {
+					s = &shard{fixed: queues.NewOptUnlinkedQAs(view, b.threads, tid)}
+				}
+			default:
+				s = &shard{blob: blobq.New(view, blobq.Config{
+					Threads: b.threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked, InitTid: tid,
+				})}
+			}
+			s.heap = hi
+			s.h = view
+			s.acked = tc.Acked
+			t.shards[si] = s
+		}
+	})
 
 	// 3 + 4. Append the record, fence, anchor. Visible only after the
 	// commit persist; a crash in between recovers as "never existed"

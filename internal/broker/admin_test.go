@@ -106,6 +106,58 @@ func TestOpenCreateRecoverRoundTrip(t *testing.T) {
 // record's append fence and its anchor stamp recovers as "the topic
 // never existed" — and the torn record at the log's tail is truncated
 // by the next creation, which appends over it and commits.
+// TestCrashInShardInitReachesProtect crashes the power supply from
+// inside the per-heap worker that builds heap 1's shards, both in
+// CreateTopic and in Open's rebuild. The crash must surface on the
+// calling goroutine, where pmem.Protect catches it, rather than escape
+// the worker and kill the process.
+func TestCrashInShardInitReachesProtect(t *testing.T) {
+	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
+	b, err := Open(hs, Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "base", Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	b.Topic("base").Publish(0, U64(11))
+
+	testHookFanOut = func(hi int) {
+		if hi == 1 {
+			hs.CrashNow()
+		}
+	}
+	defer func() { testHookFanOut = nil }()
+	if !pmem.Protect(func() { b.CreateTopic(0, TopicConfig{Name: "late", Shards: 2}) }) {
+		t.Fatal("CreateTopic survived a crash inside shard init")
+	}
+	hs.FinalizeCrash(rand.New(rand.NewSource(84)))
+	hs.Restart()
+	if !pmem.Protect(func() { Open(hs, Options{}) }) {
+		t.Fatal("Open survived a crash inside the shard rebuild")
+	}
+	hs.FinalizeCrash(rand.New(rand.NewSource(85)))
+	hs.Restart()
+	testHookFanOut = nil
+
+	r, err := Open(hs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Topic("late") != nil {
+		t.Fatal("a create that crashed in shard init recovered as existing")
+	}
+	got := map[uint64]bool{}
+	for s := 0; s < r.Topic("base").Shards(); s++ {
+		if p, ok := r.Topic("base").DequeueShard(0, s); ok {
+			got[AsU64(p)] = true
+		}
+	}
+	if !got[11] || len(got) != 1 {
+		t.Fatalf("recovered %v from the pre-existing topic, want {11}", got)
+	}
+}
+
 func TestCreateTopicCrashBeforeAnchor(t *testing.T) {
 	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
 	b, err := Open(hs, Options{Threads: 2})

@@ -552,28 +552,57 @@ func build(hs *pmem.HeapSet, threads int, topics []TopicConfig, locs [][]shardLo
 		snap.list = append(snap.list, t)
 		snap.byName[tc.Name] = t
 	}
+	fanOut(perHeap, func(hi int, jobs []job) {
+		h := hs.Heap(hi)
+		for _, j := range jobs {
+			view := h.View(j.loc.base, slotsForKind(j.t.cfg.Kind))
+			s := mk(view, j.t.cfg)
+			s.heap = hi
+			s.h = view
+			s.acked = j.t.cfg.Acked
+			j.t.shards[j.si] = s
+		}
+	})
+	b.snap.Store(snap)
+	return b
+}
+
+// testHookFanOut, when non-nil, runs at the start of each fanOut
+// worker with its heap index — where a crash must still reach the
+// caller's pmem.Protect. Tests only.
+var testHookFanOut func(hi int)
+
+// fanOut runs fn(hi, jobs) on its own goroutine for every heap index
+// with jobs and waits for all of them. A panic in a worker, a simulated
+// crash included, is re-raised on the caller's goroutine once every
+// worker has stopped, so a pmem.Protect around the caller sees it
+// instead of it killing the process.
+func fanOut[T any](perHeap [][]T, fn func(hi int, jobs []T)) {
 	var wg sync.WaitGroup
+	var once sync.Once
+	var raised any
 	for hi, jobs := range perHeap {
 		if len(jobs) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(hi int, jobs []job) {
+		go func() {
 			defer wg.Done()
-			h := hs.Heap(hi)
-			for _, j := range jobs {
-				view := h.View(j.loc.base, slotsForKind(j.t.cfg.Kind))
-				s := mk(view, j.t.cfg)
-				s.heap = hi
-				s.h = view
-				s.acked = j.t.cfg.Acked
-				j.t.shards[j.si] = s
+			defer func() {
+				if r := recover(); r != nil {
+					once.Do(func() { raised = r })
+				}
+			}()
+			if testHookFanOut != nil {
+				testHookFanOut(hi)
 			}
-		}(hi, jobs)
+			fn(hi, jobs)
+		}()
 	}
 	wg.Wait()
-	b.snap.Store(snap)
-	return b
+	if raised != nil {
+		panic(raised)
+	}
 }
 
 // New creates a broker on a single empty heap (window) — the 1-heap

@@ -35,7 +35,9 @@ type LatencyModel struct {
 
 // DefaultLatency returns the model used for the paper-shaped
 // benchmarks. The constants follow published Optane DC measurements
-// (random read ~300ns; persist ~100-200ns) — see EXPERIMENTS.md.
+// (Izraelevitz et al., "Basic Performance Measurements of the Intel
+// Optane DC Persistent Memory Module", 2019: random read ~300ns;
+// persist ~100-200ns).
 func DefaultLatency() LatencyModel {
 	return LatencyModel{
 		NVMReadNs:      300,

@@ -87,7 +87,8 @@ func TestQuickAreasDisjoint(t *testing.T) {
 
 // TestQuickRecoverPartition asserts that after a crash, RecoverPool
 // partitions every slot exactly once between the live set and the
-// free lists, for arbitrary live subsets.
+// free slots (per-thread lists plus the shared stack), for arbitrary
+// live subsets.
 func TestQuickRecoverPartition(t *testing.T) {
 	prop := func(seed int64, liveMask uint64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -123,7 +124,7 @@ func TestQuickRecoverPartition(t *testing.T) {
 				return false
 			}
 		}
-		free := rp.FreeLen(0) + rp.FreeLen(1)
+		free := rp.FreeLen(0) + rp.FreeLen(1) + rp.SharedLen()
 		if free != total-len(live) {
 			t.Logf("seed %d: free %d, want %d", seed, free, total-len(live))
 			return false

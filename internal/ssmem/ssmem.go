@@ -10,6 +10,18 @@
 // volatile free list; reclamation is deferred through a three-epoch
 // EBR scheme so that a node is only reused once no operation that
 // might still reference it is in flight.
+//
+// Unlike Zuriel et al.'s per-thread-only design, the pool also keeps a
+// shared stack of drained limbo buckets. A thread that only retires
+// (a broker consumer) would otherwise pile up free slots that no
+// allocating thread (a broker producer) ever sees, and the producer
+// would carve and zero fresh areas forever. Once a retiring thread's
+// free list holds a small reserve, each further bucket that matures is
+// pushed whole onto the shared stack, and an allocating thread whose
+// free list and area are both empty steals one bucket before it
+// carves a new area. A bucket reaches the stack only through the same
+// two-epoch test that would put it on the retiring thread's free list,
+// so the hand-off changes which thread reuses a slot, never when.
 package ssmem
 
 import (
@@ -48,6 +60,9 @@ const (
 	regEntryWords  = 2 // base, slots (slot size is in the pool config)
 	retireAdvanceN = 64
 	ebrIdle        = ^uint64(0)
+	// freeReserve is how many free slots a retiring thread keeps for
+	// itself before it hands matured limbo buckets to the shared stack.
+	freeReserve = 2 * retireAdvanceN
 )
 
 type ebrSlot struct {
@@ -80,6 +95,11 @@ type Pool struct {
 	epoch   atomic.Uint64
 	slots   []ebrSlot
 	per     []threadState
+	// shared holds matured slot buckets any thread may allocate from:
+	// the cross-thread return path. Touched once per bucket, not once
+	// per slot, so a mutex is cheap enough.
+	sharedMu sync.Mutex
+	shared   [][]pmem.Addr
 }
 
 func validate(cfg *Config) {
@@ -118,9 +138,10 @@ func NewPool(h *pmem.Heap, cfg Config) *Pool {
 
 // RecoverPool re-attaches to the pool anchored at cfg.RootSlot after a
 // crash and restart. live reports whether a slot is still owned by the
-// recovered data structure; every non-live slot is placed back on a
-// free list. live is invoked exactly once per slot ever allocated from
-// the registry's areas.
+// recovered data structure; every non-live slot is pushed onto the
+// shared stack in buckets of retireAdvanceN, so whichever thread
+// allocates first reuses them. live is invoked exactly once per slot
+// ever allocated from the registry's areas.
 func RecoverPool(h *pmem.Heap, cfg Config, live func(pmem.Addr) bool) *Pool {
 	validate(&cfg)
 	p := newPoolCommon(h, cfg)
@@ -129,14 +150,20 @@ func RecoverPool(h *pmem.Heap, cfg Config, live func(pmem.Addr) bool) *Pool {
 	if p.regAddr == 0 {
 		panic("ssmem: RecoverPool on an empty root slot")
 	}
-	next := 0
+	var bucket []pmem.Addr
 	p.forEachSlot(func(a pmem.Addr) {
-		if !live(a) {
-			ts := &p.per[next%cfg.Threads]
-			ts.free = append(ts.free, a)
-			next++
+		if live(a) {
+			return
+		}
+		bucket = append(bucket, a)
+		if len(bucket) == retireAdvanceN {
+			p.shared = append(p.shared, bucket)
+			bucket = nil
 		}
 	})
+	if len(bucket) > 0 {
+		p.shared = append(p.shared, bucket)
+	}
 	return p
 }
 
@@ -171,27 +198,49 @@ func (p *Pool) Exit(tid int) {
 	p.slots[tid].announce.Store(ebrIdle)
 }
 
-// Alloc returns a node slot for tid. Freshly created areas are zeroed
-// and persisted (a single fence per area), so first-time slots are
+// Alloc returns a node slot for tid: from tid's free list, else the
+// rest of tid's current area, else a bucket stolen from the shared
+// stack, else a fresh area. Freshly created areas are zeroed and
+// persisted (a single fence per area), so first-time slots are
 // persistently zero; reused slots retain their previous contents, as
 // on real hardware.
 func (p *Pool) Alloc(tid int) pmem.Addr {
 	ts := &p.per[tid]
-	if n := len(ts.free); n > 0 {
-		a := ts.free[n-1]
-		ts.free = ts.free[:n-1]
-		p.clearSlotState(a)
-		return a
+	if len(ts.free) == 0 {
+		if ts.areaNext < ts.areaEnd {
+			a := ts.areaNext
+			ts.areaNext += pmem.Addr(p.cfg.SlotBytes)
+			return a
+		}
+		if !p.steal(ts) {
+			p.newArea(tid)
+			a := ts.areaNext
+			ts.areaNext += pmem.Addr(p.cfg.SlotBytes)
+			return a
+		}
 	}
-	if ts.areaNext < ts.areaEnd {
-		a := ts.areaNext
-		ts.areaNext += pmem.Addr(p.cfg.SlotBytes)
-		return a
-	}
-	p.newArea(tid)
-	a := ts.areaNext
-	ts.areaNext += pmem.Addr(p.cfg.SlotBytes)
+	n := len(ts.free)
+	a := ts.free[n-1]
+	ts.free = ts.free[:n-1]
+	p.clearSlotState(a)
 	return a
+}
+
+// steal moves one bucket from the shared stack onto ts's (empty) free
+// list and reports whether there was one.
+func (p *Pool) steal(ts *threadState) bool {
+	p.sharedMu.Lock()
+	n := len(p.shared)
+	if n == 0 {
+		p.sharedMu.Unlock()
+		return false
+	}
+	b := p.shared[n-1]
+	p.shared[n-1] = nil
+	p.shared = p.shared[:n-1]
+	p.sharedMu.Unlock()
+	ts.free = b
+	return true
 }
 
 // clearSlotState resets the cache-simulation state of a recycled
@@ -203,9 +252,10 @@ func (p *Pool) clearSlotState(a pmem.Addr) {
 	}
 }
 
-// Retire hands a node to the EBR machinery; it will reappear on tid's
-// free list once two epoch advances prove no concurrent operation can
-// still hold a reference.
+// Retire hands a node to the EBR machinery; once two epoch advances
+// prove no concurrent operation can still hold a reference, it
+// reappears on tid's free list or, if that already holds its reserve,
+// on the shared stack.
 func (p *Pool) Retire(tid int, a pmem.Addr) {
 	ts := &p.per[tid]
 	e := p.epoch.Load()
@@ -230,7 +280,13 @@ func (p *Pool) FreeImmediate(tid int, a pmem.Addr) {
 
 func (p *Pool) drainLimbo(ts *threadState, e uint64) {
 	for len(ts.limbo) > 0 && ts.limbo[0].epoch+2 <= e {
-		ts.free = append(ts.free, ts.limbo[0].addrs...)
+		if len(ts.free) < freeReserve {
+			ts.free = append(ts.free, ts.limbo[0].addrs...)
+		} else {
+			p.sharedMu.Lock()
+			p.shared = append(p.shared, ts.limbo[0].addrs)
+			p.sharedMu.Unlock()
+		}
 		ts.limbo = ts.limbo[1:]
 	}
 }
@@ -331,6 +387,18 @@ func ValidSlot(areas []Area, slotBytes int, a pmem.Addr) bool {
 	return false
 }
 
-// FreeLen reports the length of tid's free list (excluding limbo).
-// Intended for tests.
+// FreeLen reports the length of tid's free list (excluding limbo and
+// the shared stack). Intended for tests.
 func (p *Pool) FreeLen(tid int) int { return len(p.per[tid].free) }
+
+// SharedLen reports how many slots wait on the shared stack. Intended
+// for tests.
+func (p *Pool) SharedLen() int {
+	p.sharedMu.Lock()
+	defer p.sharedMu.Unlock()
+	n := 0
+	for _, b := range p.shared {
+		n += len(b)
+	}
+	return n
+}

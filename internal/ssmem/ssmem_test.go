@@ -154,7 +154,7 @@ func TestRecoverPoolRebuildsFreeLists(t *testing.T) {
 	if seen != total {
 		t.Fatalf("live() saw %d slots, want %d", seen, total)
 	}
-	free := rp.FreeLen(0) + rp.FreeLen(1)
+	free := rp.FreeLen(0) + rp.FreeLen(1) + rp.SharedLen()
 	if free != total-len(liveSet) {
 		t.Fatalf("recovered free slots = %d, want %d", free, total-len(liveSet))
 	}
