@@ -186,17 +186,34 @@ func brokerSmoke(seed int64) error {
 	return dumpOnFail(o, "broker-multiheap", brokerSmokeRun(seed, threads, o))
 }
 
+// openBroker brings up a fresh broker on hs with broker.Open, then
+// creates the topics in order and ackGroups lease regions, each sized
+// to the resulting shard total.
+func openBroker(hs *pmem.HeapSet, threads int, o *obs.Observer, ackGroups int, topics ...broker.TopicConfig) (*broker.Broker, error) {
+	b, err := broker.Open(hs, broker.Options{Threads: threads, Observer: o})
+	if err != nil {
+		return nil, err
+	}
+	for _, tc := range topics {
+		if _, err := b.CreateTopic(0, tc); err != nil {
+			return nil, err
+		}
+	}
+	for g := 0; g < ackGroups; g++ {
+		if _, err := b.CreateAckGroup(0, broker.AckGroupConfig{Capacity: b.ShardTotal()}); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
 func brokerSmokeRun(seed int64, threads int, o *obs.Observer) error {
 	rng := rand.New(rand.NewSource(seed))
 	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := broker.NewSet(hs, broker.Config{
-		Topics: []broker.TopicConfig{
-			{Name: "events", Shards: 4},
-			{Name: "jobs", Shards: 2, MaxPayload: 48},
-		},
-		Threads:  threads,
-		Observer: o,
-	})
+	b, err := openBroker(hs, threads, o, 0,
+		broker.TopicConfig{Name: "events", Shards: 4},
+		broker.TopicConfig{Name: "jobs", Shards: 2, MaxPayload: 48},
+	)
 	if err != nil {
 		return err
 	}
@@ -249,7 +266,7 @@ func brokerSmokeRun(seed int64, threads int, o *obs.Observer) error {
 	hs.FinalizeCrash(rng)
 	hs.Restart()
 
-	r, err := broker.RecoverSet(hs, threads)
+	r, err := broker.Open(hs, broker.Options{Threads: threads})
 	if err != nil {
 		return err
 	}
@@ -881,15 +898,10 @@ func brokerAckSmokeRun(seed int64, threads int, o *obs.Observer) error {
 	const window = 4
 	rng := rand.New(rand.NewSource(seed + 1))
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := broker.New(h, broker.Config{
-		Topics: []broker.TopicConfig{
-			{Name: "events", Shards: 4, Acked: true},
-			{Name: "jobs", Shards: 2, MaxPayload: 48, Acked: true},
-		},
-		Threads:   threads,
-		AckGroups: 1,
-		Observer:  o,
-	})
+	b, err := openBroker(pmem.NewSetOf(h), threads, o, 1,
+		broker.TopicConfig{Name: "events", Shards: 4, Acked: true},
+		broker.TopicConfig{Name: "jobs", Shards: 2, MaxPayload: 48, Acked: true},
+	)
 	if err != nil {
 		return err
 	}
@@ -963,7 +975,7 @@ func brokerAckSmokeRun(seed int64, threads int, o *obs.Observer) error {
 			clock += 100 // the victim goes silent; its lease expires
 			var moved int
 			var aerr error
-			if pmem.Protect(func() { moved, aerr = g.Adopt(2, 1, 0) }) {
+			if pmem.Protect(func() { moved, aerr = g.Reassign(2, 1, []int{0}, false) }) {
 				break
 			}
 			if aerr != nil {
@@ -980,7 +992,7 @@ func brokerAckSmokeRun(seed int64, threads int, o *obs.Observer) error {
 	h.FinalizeCrash(rng)
 	h.Restart()
 
-	r, err := broker.Recover(h, threads)
+	r, err := broker.Open(pmem.NewSetOf(h), broker.Options{Threads: threads})
 	if err != nil {
 		return err
 	}
@@ -1034,15 +1046,10 @@ func brokerChurnSmokeRun(seed int64, threads int, o *obs.Observer) error {
 	const window = 4
 	rng := rand.New(rand.NewSource(seed + 3))
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := broker.New(h, broker.Config{
-		Topics: []broker.TopicConfig{
-			{Name: "events", Shards: 4, Acked: true},
-			{Name: "jobs", Shards: 2, MaxPayload: 48, Acked: true},
-		},
-		Threads:   threads,
-		AckGroups: 1,
-		Observer:  o,
-	})
+	b, err := openBroker(pmem.NewSetOf(h), threads, o, 1,
+		broker.TopicConfig{Name: "events", Shards: 4, Acked: true},
+		broker.TopicConfig{Name: "jobs", Shards: 2, MaxPayload: 48, Acked: true},
+	)
 	if err != nil {
 		return err
 	}
@@ -1183,7 +1190,7 @@ func brokerChurnSmokeRun(seed int64, threads int, o *obs.Observer) error {
 	h.FinalizeCrash(rng)
 	h.Restart()
 
-	r, err := broker.Recover(h, threads)
+	r, err := broker.Open(pmem.NewSetOf(h), broker.Options{Threads: threads})
 	if err != nil {
 		return err
 	}

@@ -31,10 +31,7 @@ func (c *logicalClock) Advance(d uint64) { c.v.Add(d) }
 func newAckedBroker(t *testing.T, heaps, threads int, mode pmem.Mode) (*pmem.HeapSet, *Broker) {
 	t.Helper()
 	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: mode, MaxThreads: threads})
-	b, err := NewSet(hs, Config{Topics: twoAckedTopics(), Threads: threads, AckGroups: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, hs, Options{Threads: threads}, 1, twoAckedTopics()...)
 	return hs, b
 }
 
@@ -210,7 +207,7 @@ func TestAckFenceAccounting(t *testing.T) {
 	}
 }
 
-// TestLeaseTakeover pins Adopt: refusal while the lease is unexpired,
+// TestLeaseTakeover pins single-target Reassign: refusal while the lease is unexpired,
 // exactly the unacked suffix redelivered to the adopter, acked
 // messages gone for good, shard ownership moved.
 func TestLeaseTakeover(t *testing.T) {
@@ -237,16 +234,16 @@ func TestLeaseTakeover(t *testing.T) {
 		t.Fatalf("victim polled %d in-flight, want 4", len(inflight))
 	}
 
-	if _, err := g.Adopt(2, 1, 0); err == nil {
-		t.Fatal("Adopt succeeded while the victim's lease is unexpired")
+	if _, err := g.Reassign(2, 1, []int{0}, false); err == nil {
+		t.Fatal("Reassign succeeded while the victim's lease is unexpired")
 	}
 	clk.Advance(100)
-	moved, err := g.Adopt(2, 1, 0)
+	moved, err := g.Reassign(2, 1, []int{0}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if moved != 4 {
-		t.Fatalf("Adopt moved %d redeliveries, want 4", moved)
+		t.Fatalf("Reassign moved %d redeliveries, want 4", moved)
 	}
 	if len(victim.Assigned()) != 0 || len(survivor.Assigned()) != 4 {
 		t.Fatalf("ownership after adopt: victim %d shards, survivor %d; want 0 and 4",
@@ -317,7 +314,7 @@ func TestAckedRecoveryExactlyOnce(t *testing.T) {
 	hs.FinalizeCrash(rand.New(rand.NewSource(31)))
 	hs.Restart()
 
-	r, err := RecoverSet(hs, 2)
+	r, err := Open(hs, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,10 +396,7 @@ func consumerCrashRound(t *testing.T, seed int64) {
 		threads     = producers + consumers
 	)
 	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := NewSet(hs, Config{Topics: twoAckedTopics(), Threads: threads, AckGroups: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, hs, Options{Threads: threads}, 1, twoAckedTopics()...)
 	clk := &logicalClock{}
 	g, err := b.NewGroupAcked([]string{"events", "jobs"}, consumers, LeaseConfig{TTL: 5, Now: clk.Now})
 	if err != nil {
@@ -529,11 +523,11 @@ func consumerCrashRound(t *testing.T, seed int64) {
 			clk.Advance(1000) // let the victim's leases expire
 			vTid := producers + victim
 			var aerr error
-			if pmem.Protect(func() { _, aerr = g.Adopt(vTid, victim, 0) }) {
+			if pmem.Protect(func() { _, aerr = g.Reassign(vTid, victim, []int{0}, false) }) {
 				return // full-system crash during takeover
 			}
 			if aerr != nil {
-				t.Errorf("Adopt(%d -> 0): %v", victim, aerr)
+				t.Errorf("Reassign(%d -> 0): %v", victim, aerr)
 				return
 			}
 		}
@@ -547,7 +541,7 @@ func consumerCrashRound(t *testing.T, seed int64) {
 	hs.FinalizeCrash(rand.New(rand.NewSource(seed * 17)))
 	hs.Restart()
 
-	r, err := RecoverSet(hs, threads)
+	r, err := Open(hs, Options{Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package broker
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/blobq"
 	"repro/internal/dheap"
@@ -51,40 +50,16 @@ type Options struct {
 	Observer *obs.Observer
 }
 
-type openMode int
-
-const (
-	openAny     openMode = iota // create if empty, recover otherwise
-	openCreate                  // must be empty (legacy NewSet semantics)
-	openRecover                 // must host a broker (legacy RecoverSet semantics)
-)
-
-// Open brings up a broker on the heap set: a set whose anchor heap
-// hosts a catalog is recovered (exactly like RecoverSet, including
-// legacy v1/v2/v3 catalogs), an empty set gets a fresh broker with no
-// topics — create them at runtime with CreateTopic. The anchor stamp
-// is the last persist of creation, so a crash inside Open leaves no
-// broker. Call while no other thread operates; Open itself uses
-// thread id 0.
+// Open brings up a broker on the heap set, and is the only way to: a
+// set whose anchor heap hosts a catalog is recovered, an empty set
+// gets a fresh broker with no topics — create them at runtime with
+// CreateTopic. The anchor stamp is the last persist of creation, so a
+// crash inside Open leaves no broker. Call while no other thread
+// operates; Open itself uses thread id 0.
 func Open(hs *pmem.HeapSet, opts Options) (*Broker, error) {
-	return open(hs, opts, openAny)
-}
-
-func open(hs *pmem.HeapSet, opts Options, mode openMode) (*Broker, error) {
 	h := hs.Heap(0)
-	r := &catReader{h: h}
-	reg := pmem.Addr(r.word(h.RootAddr(slotAnchor)))
-	if r.err != nil {
-		return nil, r.err
-	}
-	if reg == 0 {
-		if mode == openRecover {
-			return nil, fmt.Errorf("broker: no catalog anchored (heap 0 hosts no broker)")
-		}
+	if h.Load(0, h.RootAddr(slotAnchor)) == 0 {
 		return openFresh(hs, opts)
-	}
-	if mode == openCreate {
-		return nil, checkMemberEmpty(h, 0)
 	}
 	return openExisting(hs, opts)
 }
@@ -150,9 +125,18 @@ func (b *Broker) observe(o *obs.Observer) error {
 	return nil
 }
 
-// openExisting recovers the broker anchored on the set: catalog read
-// (or v4 log replay), stamp verification, then the paper's per-queue
-// recovery heap by heap in parallel, then lease-region re-binding.
+// openExisting recovers the broker anchored on the set. Recovery is
+// two-phase: phase one replays the catalog log on heap 0 and verifies
+// every other member's stamp against it — a set missing a catalogued
+// heap, containing a blank or foreign heap, or assembled in the wrong
+// order is an error, never a silent mis-scan. Phase two replays the
+// paper's per-queue recovery for every shard, heap by heap in
+// parallel, then re-binds the lease regions.
+//
+// opts.Threads must equal the bound the broker was created with (it
+// sizes the per-thread head-index regions recovery scans), or be 0 to
+// adopt the recorded bound. A mismatch is an error, never silent
+// corruption.
 func openExisting(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 	lay, err := readCatalog(hs)
 	if err != nil {
@@ -162,7 +146,7 @@ func openExisting(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 	if threads == 0 {
 		threads = lay.threads
 	} else if threads != lay.threads {
-		return nil, fmt.Errorf("broker: Recover with %d threads, but the broker was created with %d",
+		return nil, fmt.Errorf("broker: Open with %d threads, but the broker was created with %d",
 			threads, lay.threads)
 	}
 	if threads <= 0 {
@@ -171,46 +155,16 @@ func openExisting(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 	if err := checkSet(hs, threads); err != nil {
 		return nil, err
 	}
-	// Replay validates v4 records as it reads them; re-validate the
-	// legacy layouts' topic rows to the same standard (duplicate names
-	// included) so no version can smuggle an inconsistent config in.
-	seen := map[string]bool{}
+	// Replay checks each record's fields and placements; the per-kind
+	// rules (heap topics: one shard, never acked) are validateTopic's.
 	for _, tc := range lay.topics {
 		if err := validateTopic(tc); err != nil {
 			return nil, err
 		}
-		if seen[tc.Name] {
-			return nil, fmt.Errorf("broker: catalog records topic %q twice", tc.Name)
-		}
-		seen[tc.Name] = true
 	}
-	var mkMu sync.Mutex
-	var mkErr error
-	b := build(hs, threads, lay.topics, lay.locs, lay.bases, lay.nextGlobal, func(view *pmem.Heap, tc TopicConfig) *shard {
-		if tc.Kind.heapKind() {
-			q, err := dheap.Recover(view, threads)
-			if err != nil {
-				mkMu.Lock()
-				if mkErr == nil {
-					mkErr = fmt.Errorf("broker: topic %q: %w", tc.Name, err)
-				}
-				mkMu.Unlock()
-				return &shard{}
-			}
-			return &shard{heapq: q}
-		}
-		if tc.MaxPayload == 0 {
-			if tc.Acked {
-				return &shard{fixed: queues.RecoverOptUnlinkedQAcked(view, threads)}
-			}
-			return &shard{fixed: queues.RecoverOptUnlinkedQ(view, threads)}
-		}
-		return &shard{blob: blobq.Recover(view, blobq.Config{
-			Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked,
-		})}
-	})
-	if mkErr != nil {
-		return nil, mkErr
+	b, err := build(hs, threads, lay)
+	if err != nil {
+		return nil, err
 	}
 	for g, loc := range lay.leaseLocs {
 		lr, err := readLeaseRegion(hs.Heap(loc.heap), loc.heap, loc.base, g, lay.leaseCaps[g])
@@ -220,7 +174,6 @@ func openExisting(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 		b.regions = append(b.regions, lr)
 	}
 	b.bound = make([]bool, len(b.regions))
-	b.cat = lay.cat
 	if opts.Placement != nil {
 		b.placement = opts.Placement
 	}
@@ -228,12 +181,6 @@ func openExisting(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 		return nil, err
 	}
 	return b, nil
-}
-
-// errLegacyCatalog reports why admin operations are refused on a
-// broker recovered from a write-once catalog.
-func errLegacyCatalog(op string) error {
-	return fmt.Errorf("broker: %s on a legacy (v1/v2/v3) write-once catalog — migrate by draining into a broker created with Open", op)
 }
 
 // CreateTopic creates a topic on a live broker, durably: the shard
@@ -265,9 +212,6 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 	var startNs int64
 	if o != nil {
 		startNs = obs.Now()
-	}
-	if b.cat == nil {
-		return nil, errLegacyCatalog("CreateTopic")
 	}
 	if err := validateTopic(tc); err != nil {
 		return nil, err
@@ -450,9 +394,6 @@ func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 	if o != nil {
 		startNs = obs.Now()
 	}
-	if b.cat == nil {
-		return 0, errLegacyCatalog("CreateAckGroup")
-	}
 	snap := b.set()
 	capacity := cfg.Capacity
 	if capacity == 0 {
@@ -527,9 +468,6 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 	var startNs int64
 	if o != nil {
 		startNs = obs.Now()
-	}
-	if b.cat == nil {
-		return errLegacyCatalog("DeleteTopic")
 	}
 	snap := b.set()
 	t := snap.byName[name]
@@ -637,9 +575,6 @@ func (b *Broker) CompactCatalog(tid, capacityLines int) error {
 	var startNs int64
 	if o != nil {
 		startNs = obs.Now()
-	}
-	if b.cat == nil {
-		return errLegacyCatalog("CompactCatalog")
 	}
 	maxCap := maxCatalogLines - logHeaderLines - b.cat.allocLines
 	if capacityLines < 0 || capacityLines > maxCap {

@@ -14,7 +14,7 @@ import (
 
 // TestOpenCreateRecoverRoundTrip is the live-administration round
 // trip: Open brings up an empty broker, topics appear at runtime via
-// CreateTopic, and after a power failure Open (not RecoverSet) brings
+// CreateTopic, and after a power failure the same Open call brings
 // the same broker back — topics, placements and payloads intact, no
 // matter that they were created across separate administrative calls.
 func TestOpenCreateRecoverRoundTrip(t *testing.T) {
@@ -41,10 +41,6 @@ func TestOpenCreateRecoverRoundTrip(t *testing.T) {
 	for i := uint64(0); i < 8; i++ {
 		b.Topic("events").Publish(0, U64(i))
 		b.Topic("jobs").Publish(0, blobPayload(100+i))
-	}
-	// A second Open-create over the live set must refuse.
-	if _, err := NewSet(hs, Config{Topics: twoTopics(), Threads: 2}); err == nil {
-		t.Fatal("NewSet over a live broker's set should fail")
 	}
 	hs.CrashNow()
 	hs.FinalizeCrash(rand.New(rand.NewSource(81)))
@@ -448,12 +444,7 @@ func TestCatalogLogFull(t *testing.T) {
 // without aliasing broker state, and TopicNames reports sorted names.
 func TestTopicsSnapshotCopy(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{
-		{Name: "zebra", Shards: 1}, {Name: "apple", Shards: 1},
-	}, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, pmem.NewSetOf(h), Options{Threads: 1}, 0, TopicConfig{Name: "zebra", Shards: 1}, TopicConfig{Name: "apple", Shards: 1})
 	ts := b.Topics()
 	ts[0] = nil
 	ts[1] = nil

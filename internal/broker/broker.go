@@ -32,8 +32,6 @@
 // steady-state NVRAM footprint; CompactCatalog rewrites the live
 // records into a fresh log generation when tombstone debris
 // accumulates (and doubles as the log's resize path).
-// New/NewSet/Recover/RecoverSet remain as thin compatibility
-// wrappers.
 //
 // The broker is observable without being perturbed: Options.Observer
 // accepts an obs.Observer that receives per-op latency samples
@@ -176,7 +174,7 @@ type TopicConfig struct {
 	// durable lease (written before PollBatch returns) and a message is
 	// consumed only when a Consumer.Ack covers it, so unacknowledged
 	// messages are redelivered across both consumer crashes (lease
-	// takeover, see Group.Adopt) and whole-broker crashes (recovery
+	// takeover, see Group.Reassign) and whole-broker crashes (recovery
 	// resurrects everything beyond the acked frontier). Acked topics
 	// are consumed through groups created with NewGroupAcked; plain
 	// groups still work but acknowledge every delivery immediately.
@@ -213,34 +211,6 @@ func BlockPlacement(topic, shard, global, shards, heaps int) int {
 	return shard * heaps / shards
 }
 
-// Config parameterizes the legacy whole-broker constructors New and
-// NewSet, which remain as thin compatibility wrappers over the live
-// administration API: Open brings up the broker, then every topic and
-// ack group is created through CreateTopic/CreateAckGroup exactly as
-// a runtime creation would be.
-type Config struct {
-	// Topics lists the topics to create. Order is preserved in the
-	// durable catalog.
-	Topics []TopicConfig
-	// Threads bounds the thread ids that may call broker operations
-	// (producers, consumers and the recovery thread all share this
-	// space, as with the underlying queues).
-	Threads int
-	// Placement chooses each shard's member heap; nil means
-	// RoundRobinPlacement. Ignored on a 1-heap set (everything lands
-	// on heap 0) and by Recover (the catalog records placements).
-	Placement PlacementPolicy
-	// AckGroups allocates that many durable lease regions — one per
-	// consumer group that will use acknowledgments (NewGroupAcked) —
-	// each sized exactly to the config's shard total, mirroring the
-	// write-once catalog's semantics. More regions (and regions with
-	// growth headroom) can be created later with CreateAckGroup.
-	AckGroups int
-	// Observer, when non-nil, receives per-op latencies, topic/group
-	// gauges and trace events (see Options.Observer for the contract).
-	Observer *obs.Observer
-}
-
 // Broker is a sharded multi-topic durable message broker over a heap
 // set. Methods taking a tid are safe for concurrent use as long as
 // each tid is driven by at most one goroutine at a time.
@@ -268,9 +238,8 @@ type Broker struct {
 	// snap is the copy-on-write topic snapshot the data plane reads.
 	snap atomic.Pointer[topicSet]
 
-	// adminMu serializes administrative operations; cat is the v4
-	// catalog log, nil on a broker recovered from a legacy write-once
-	// catalog (v1/v2/v3) — such brokers refuse runtime creation.
+	// adminMu serializes administrative operations; cat is the
+	// catalog log, never nil (Open creates or replays it).
 	adminMu sync.Mutex
 	cat     *catalogLog
 
@@ -467,7 +436,7 @@ func U64(v uint64) []byte {
 func AsU64(p []byte) uint64 { return binary.LittleEndian.Uint64(p) }
 
 // validateTopic checks one topic's configuration, shared by
-// CreateTopic and the legacy Config validation.
+// CreateTopic and recovery.
 func validateTopic(tc TopicConfig) error {
 	if tc.Name == "" || len(tc.Name) > catNameBytes {
 		return fmt.Errorf("broker: topic name %q must be 1..%d bytes", tc.Name, catNameBytes)
@@ -494,29 +463,6 @@ func validateTopic(tc TopicConfig) error {
 	return nil
 }
 
-func validate(cfg Config) error {
-	if cfg.Threads <= 0 {
-		return fmt.Errorf("broker: Threads must be positive")
-	}
-	if len(cfg.Topics) == 0 {
-		return fmt.Errorf("broker: at least one topic required")
-	}
-	seen := map[string]bool{}
-	for _, tc := range cfg.Topics {
-		if err := validateTopic(tc); err != nil {
-			return err
-		}
-		if seen[tc.Name] {
-			return fmt.Errorf("broker: duplicate topic %q", tc.Name)
-		}
-		seen[tc.Name] = true
-	}
-	if cfg.AckGroups < 0 || cfg.AckGroups > maxCatAckGroups {
-		return fmt.Errorf("broker: AckGroups %d out of range [0,%d]", cfg.AckGroups, maxCatAckGroups)
-	}
-	return nil
-}
-
 // checkSet verifies the heap set can host a broker with the given
 // thread bound: every member must admit at least that many thread ids.
 func checkSet(hs *pmem.HeapSet, threads int) error {
@@ -528,43 +474,65 @@ func checkSet(hs *pmem.HeapSet, threads int) error {
 	return nil
 }
 
-// build constructs the volatile broker skeleton and instantiates each
-// shard's queue via mk, which receives the shard's root-slot view of
-// its member heap. Shards are built heap by heap, the per-heap phases
+// build constructs the volatile broker skeleton over a replayed
+// layout and recovers each shard's queue on its root-slot view of its
+// member heap. Shards are recovered heap by heap, the per-heap phases
 // in parallel: member heaps are independent simulators with their own
 // per-thread state, so tid 0 may run on each concurrently. This is the
 // second phase of recovery.
-func build(hs *pmem.HeapSet, threads int, topics []TopicConfig, locs [][]shardLoc, bases []int, nextGlobal int, mk func(view *pmem.Heap, tc TopicConfig) *shard) *Broker {
-	b := &Broker{hs: hs, threads: threads, placement: RoundRobinPlacement}
-	snap := &topicSet{byName: map[string]*Topic{}, shardTotal: nextGlobal}
+func build(hs *pmem.HeapSet, threads int, lay layoutInfo) (*Broker, error) {
+	b := &Broker{hs: hs, threads: threads, placement: RoundRobinPlacement, cat: lay.cat}
+	snap := &topicSet{byName: map[string]*Topic{}, shardTotal: lay.nextGlobal}
 	type job struct {
 		t   *Topic
 		si  int
 		loc shardLoc
 	}
 	perHeap := make([][]job, hs.Len())
-	for ti, tc := range topics {
-		t := &Topic{b: b, cfg: tc, base: bases[ti], locs: locs[ti], shards: make([]*shard, tc.Shards)}
-		for si := 0; si < tc.Shards; si++ {
-			loc := locs[ti][si]
+	for ti, tc := range lay.topics {
+		t := &Topic{b: b, cfg: tc, base: lay.bases[ti], locs: lay.locs[ti], shards: make([]*shard, tc.Shards)}
+		for si, loc := range t.locs {
 			perHeap[loc.heap] = append(perHeap[loc.heap], job{t: t, si: si, loc: loc})
 		}
 		snap.list = append(snap.list, t)
 		snap.byName[tc.Name] = t
 	}
+	var errMu sync.Mutex
+	var firstErr error
 	fanOut(perHeap, func(hi int, jobs []job) {
 		h := hs.Heap(hi)
 		for _, j := range jobs {
-			view := h.View(j.loc.base, slotsForKind(j.t.cfg.Kind))
-			s := mk(view, j.t.cfg)
-			s.heap = hi
-			s.h = view
-			s.acked = j.t.cfg.Acked
+			tc := j.t.cfg
+			view := h.View(j.loc.base, slotsForKind(tc.Kind))
+			s := &shard{heap: hi, h: view, acked: tc.Acked}
+			switch {
+			case tc.Kind.heapKind():
+				q, err := dheap.Recover(view, threads)
+				if err != nil {
+					errMu.Lock()
+					if firstErr == nil {
+						firstErr = fmt.Errorf("broker: topic %q: %w", tc.Name, err)
+					}
+					errMu.Unlock()
+				}
+				s.heapq = q
+			case tc.MaxPayload == 0 && tc.Acked:
+				s.fixed = queues.RecoverOptUnlinkedQAcked(view, threads)
+			case tc.MaxPayload == 0:
+				s.fixed = queues.RecoverOptUnlinkedQ(view, threads)
+			default:
+				s.blob = blobq.Recover(view, blobq.Config{
+					Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked,
+				})
+			}
 			j.t.shards[j.si] = s
 		}
 	})
+	if firstErr != nil {
+		return nil, firstErr
+	}
 	b.snap.Store(snap)
-	return b
+	return b, nil
 }
 
 // testHookFanOut, when non-nil, runs at the start of each fanOut
@@ -603,72 +571,6 @@ func fanOut[T any](perHeap [][]T, fn func(hi int, jobs []T)) {
 	if raised != nil {
 		panic(raised)
 	}
-}
-
-// New creates a broker on a single empty heap (window) — the 1-heap
-// convenience form of NewSet.
-func New(h *pmem.Heap, cfg Config) (*Broker, error) {
-	return NewSet(pmem.NewSetOf(h), cfg)
-}
-
-// NewSet creates a broker spanning an empty heap set. It is a thin
-// compatibility wrapper over the live administration API: Open brings
-// up an empty broker (stamping every member and anchoring the catalog
-// log), then each topic and ack-group lease region is created through
-// the same CreateTopic/CreateAckGroup path a runtime creation takes.
-// Lease regions are sized exactly to the config's shard total,
-// mirroring the legacy write-once semantics.
-//
-// Every member's anchor slot must be empty: a member carrying a
-// catalog or membership stamp belongs to an existing broker (recover
-// that set instead) or is left over from a creation that crashed
-// before its anchor was written; either way NewSet refuses rather
-// than overwrite durable state it did not allocate. A crash inside
-// NewSet leaves the topics whose catalog records were committed and
-// no trace of the rest.
-func NewSet(hs *pmem.HeapSet, cfg Config) (*Broker, error) {
-	if err := validate(cfg); err != nil {
-		return nil, err
-	}
-	b, err := open(hs, Options{Threads: cfg.Threads, Placement: cfg.Placement, Observer: cfg.Observer}, openCreate)
-	if err != nil {
-		return nil, err
-	}
-	for _, tc := range cfg.Topics {
-		if _, err := b.CreateTopic(0, tc); err != nil {
-			return nil, err
-		}
-	}
-	for g := 0; g < cfg.AckGroups; g++ {
-		if _, err := b.CreateAckGroup(0, AckGroupConfig{Capacity: b.ShardTotal()}); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// Recover re-discovers a broker living on a single heap (window) — the
-// 1-heap convenience form of RecoverSet.
-func Recover(h *pmem.Heap, threads int) (*Broker, error) {
-	return RecoverSet(pmem.NewSetOf(h), threads)
-}
-
-// RecoverSet re-discovers a broker after a crash of the whole heap
-// set — the compatibility wrapper over Open that requires a broker to
-// exist. Phase one reads the durable catalog on heap 0 (replaying the
-// v4 log record by record, or parsing a pinned legacy layout) and
-// verifies every other member's stamp against it — a set missing a
-// catalogued heap, containing a blank or foreign heap, or assembled
-// in the wrong order is an error, never a silent mis-scan. Phase two
-// replays the paper's per-queue recovery for every shard, heap by
-// heap, the per-heap phases in parallel. Call while no other thread
-// operates.
-//
-// threads must equal the bound the broker was created with (it sizes
-// the per-thread head-index regions recovery scans); pass 0 to adopt
-// the recorded bound. A mismatch is an error, never silent corruption.
-func RecoverSet(hs *pmem.HeapSet, threads int) (*Broker, error) {
-	return open(hs, Options{Threads: threads}, openRecover)
 }
 
 // set returns the current data-plane topic snapshot.
@@ -718,13 +620,10 @@ func (b *Broker) AckGroups() int {
 func (b *Broker) ShardTotal() int { return b.set().shardTotal }
 
 // CatalogGeneration reports the catalog log's generation — bumped by
-// every CompactCatalog. Zero on a legacy (write-once) catalog.
+// every CompactCatalog.
 func (b *Broker) CatalogGeneration() uint64 {
 	b.adminMu.Lock()
 	defer b.adminMu.Unlock()
-	if b.cat == nil {
-		return 0
-	}
 	return b.cat.gen
 }
 
@@ -734,13 +633,10 @@ func (b *Broker) CatalogGeneration() uint64 {
 // claimed for shard windows and lease regions — and free how many of
 // those currently sit on the free list awaiting reuse. A churning
 // workload whose deletes balance its creates holds used steady while
-// free oscillates. Zero on a legacy catalog (which cannot delete).
+// free oscillates.
 func (b *Broker) SlotFootprint() (used, free int) {
 	b.adminMu.Lock()
 	defer b.adminMu.Unlock()
-	if b.cat == nil {
-		return 0, 0
-	}
 	for _, m := range b.cat.marks {
 		used += m - 1 // slot 0 is the anchor, never allocator-owned
 	}

@@ -21,6 +21,30 @@ func twoTopics() []TopicConfig {
 	}
 }
 
+// openWith brings up a fresh broker on hs through Open, then creates
+// the topics in order and ackGroups lease regions, each sized to the
+// resulting shard total — the sequence a deployment declaring its
+// topics up front runs, so placements, lease capacities and persist
+// counts are those of that deployment.
+func openWith(t testing.TB, hs *pmem.HeapSet, opts Options, ackGroups int, topics ...TopicConfig) *Broker {
+	t.Helper()
+	b, err := Open(hs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range topics {
+		if _, err := b.CreateTopic(0, tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for g := 0; g < ackGroups; g++ {
+		if _, err := b.CreateAckGroup(0, AckGroupConfig{Capacity: b.ShardTotal()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
 // blobPayload embeds id in a deterministic variable-length payload so
 // the audit can both identify and integrity-check delivered bytes.
 func blobPayload(id uint64) []byte {
@@ -35,10 +59,7 @@ func blobPayload(id uint64) []byte {
 
 func TestPublishConsumeMultiTopic(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 4})
-	b, err := New(h, Config{Topics: twoTopics(), Threads: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, pmem.NewSetOf(h), Options{Threads: 3}, 0, twoTopics()...)
 	events, jobs := b.Topic("events"), b.Topic("jobs")
 	if events == nil || jobs == nil || b.Topic("nope") != nil {
 		t.Fatal("topic lookup broken")
@@ -107,10 +128,7 @@ func TestPublishConsumeMultiTopic(t *testing.T) {
 // low-numbered shards after any idle period).
 func TestPollFairnessAfterIdle(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 3}}, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, pmem.NewSetOf(h), Options{Threads: 1}, 0, TopicConfig{Name: "events", Shards: 3})
 	g, err := b.NewGroup([]string{"events"}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -144,10 +162,7 @@ func TestPollFairnessAfterIdle(t *testing.T) {
 // all-empty polls are persist-free.
 func TestPollBatchSingleFenceAcrossShards(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 4}}, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, pmem.NewSetOf(h), Options{Threads: 1}, 0, TopicConfig{Name: "events", Shards: 4})
 	g, err := b.NewGroup([]string{"events"}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -198,10 +213,7 @@ func TestPollBatchSingleFenceAcrossShards(t *testing.T) {
 // shard, so a continuously hot shard cannot starve its siblings.
 func TestPollBatchNoStarvation(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 2}}, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, pmem.NewSetOf(h), Options{Threads: 1}, 0, TopicConfig{Name: "events", Shards: 2})
 	g, err := b.NewGroup([]string{"events"}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -237,10 +249,7 @@ func TestPollBatchNoStarvation(t *testing.T) {
 // through one consumer's PollBatch and audits payload integrity.
 func TestPollBatchMixedTopics(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: twoTopics(), Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, pmem.NewSetOf(h), Options{Threads: 2}, 0, twoTopics()...)
 	g, err := b.NewGroup([]string{"events", "jobs"}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -283,19 +292,13 @@ func TestPollBatchMixedTopics(t *testing.T) {
 
 func TestCatalogRecoverRoundTrip(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
-	b, err := New(h, Config{Topics: twoTopics(), Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(h, Config{Topics: twoTopics(), Threads: 2}); err == nil {
-		t.Fatal("second New on the same window should fail")
-	}
+	b := openWith(t, pmem.NewSetOf(h), Options{Threads: 2}, 0, twoTopics()...)
 	b.Topic("events").Publish(0, U64(42))
 	b.Topic("jobs").Publish(0, blobPayload(7))
 	h.CrashNow()
 	h.FinalizeCrash(rand.New(rand.NewSource(2)))
 	h.Restart()
-	r, err := Recover(h, 2)
+	r, err := Open(pmem.NewSetOf(h), Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,21 +328,18 @@ func TestCatalogRecoverRoundTrip(t *testing.T) {
 
 func TestRecoverThreadBound(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
-	b, err := New(h, Config{Topics: twoTopics(), Threads: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, pmem.NewSetOf(h), Options{Threads: 3}, 0, twoTopics()...)
 	b.Topic("events").Publish(2, U64(9))
 	h.CrashNow()
 	h.FinalizeCrash(rand.New(rand.NewSource(4)))
 	h.Restart()
 	// A mismatched bound would silently mis-scan the per-thread
 	// head-index regions; it must be rejected instead.
-	if _, err := Recover(h, 2); err == nil {
-		t.Fatal("Recover with a mismatched thread bound should fail")
+	if _, err := Open(pmem.NewSetOf(h), Options{Threads: 2}); err == nil {
+		t.Fatal("Open with a mismatched thread bound should fail")
 	}
 	// 0 adopts the recorded bound.
-	r, err := Recover(h, 0)
+	r, err := Open(pmem.NewSetOf(h), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,13 +348,6 @@ func TestRecoverThreadBound(t *testing.T) {
 	}
 	if p, ok := r.Topic("events").DequeueShard(0, 0); !ok || AsU64(p) != 9 {
 		t.Fatalf("recovered event = %v,%v", p, ok)
-	}
-}
-
-func TestRecoverWithoutBroker(t *testing.T) {
-	h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
-	if _, err := Recover(h, 1); err == nil {
-		t.Fatal("Recover on an empty heap should fail")
 	}
 }
 
@@ -417,10 +410,7 @@ func brokerCrashRound(t *testing.T, seed int64, dequeueBatch, heaps int) {
 		threads     = producers + consumers
 	)
 	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := NewSet(hs, Config{Topics: twoTopics(), Threads: threads})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, hs, Options{Threads: threads}, 0, twoTopics()...)
 	g, err := b.NewGroup([]string{"events", "jobs"}, consumers)
 	if err != nil {
 		t.Fatal(err)
@@ -587,7 +577,7 @@ func brokerCrashRound(t *testing.T, seed int64, dequeueBatch, heaps int) {
 	hs.FinalizeCrash(rand.New(rand.NewSource(seed * 31)))
 	hs.Restart()
 
-	r, err := RecoverSet(hs, threads)
+	r, err := Open(hs, Options{Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,10 +651,7 @@ func brokerCrashRound(t *testing.T, seed int64, dequeueBatch, heaps int) {
 func TestMultiHeapPlacementSpread(t *testing.T) {
 	mk := func(p PlacementPolicy) *Broker {
 		hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-		b, err := NewSet(hs, Config{Topics: twoTopics(), Threads: 1, Placement: p})
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := openWith(t, hs, Options{Threads: 1, Placement: p}, 0, twoTopics()...)
 		return b
 	}
 	rr := mk(nil) // default: round-robin
@@ -692,10 +679,7 @@ func TestMultiHeapPlacementSpread(t *testing.T) {
 // and messages on both domains survive.
 func TestMultiHeapRecoverRoundTrip(t *testing.T) {
 	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
-	b, err := NewSet(hs, Config{Topics: twoTopics(), Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, hs, Options{Threads: 2}, 0, twoTopics()...)
 	// Round-robin placement: events shards alternate heaps. Publish one
 	// message per shard on both topics so both domains hold state.
 	for i := uint64(0); i < 8; i++ {
@@ -705,7 +689,7 @@ func TestMultiHeapRecoverRoundTrip(t *testing.T) {
 	hs.CrashNow()
 	hs.FinalizeCrash(rand.New(rand.NewSource(5)))
 	hs.Restart()
-	r, err := RecoverSet(hs, 2)
+	r, err := Open(hs, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -752,41 +736,40 @@ func TestRecoverHeapSetMismatch(t *testing.T) {
 	cfg := pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4}
 	h0, h1, h2 := pmem.New(cfg), pmem.New(cfg), pmem.New(cfg)
 	hs := pmem.NewSetOf(h0, h1, h2)
-	b, err := NewSet(hs, Config{Topics: twoTopics(), Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, hs, Options{Threads: 2}, 0, twoTopics()...)
 	b.Topic("events").Publish(0, U64(1))
 	hs.CrashNow()
 	hs.FinalizeCrash(rand.New(rand.NewSource(6)))
 	hs.Restart()
 
-	if _, err := RecoverSet(pmem.NewSetOf(h0), 2); err == nil {
-		t.Fatal("Recover with 1 of 3 catalogued heaps should fail")
+	openSet := func(set *pmem.HeapSet) error {
+		_, err := Open(set, Options{Threads: 2})
+		return err
 	}
-	if _, err := RecoverSet(pmem.NewSetOf(h0, h1), 2); err == nil {
-		t.Fatal("Recover with 2 of 3 catalogued heaps should fail")
+	if openSet(pmem.NewSetOf(h0)) == nil {
+		t.Fatal("Open with 1 of 3 catalogued heaps should fail")
+	}
+	if openSet(pmem.NewSetOf(h0, h1)) == nil {
+		t.Fatal("Open with 2 of 3 catalogued heaps should fail")
 	}
 	blank := pmem.New(cfg)
-	if _, err := RecoverSet(pmem.NewSetOf(h0, h1, blank), 2); err == nil {
-		t.Fatal("Recover with a blank heap replacing a member should fail")
+	if openSet(pmem.NewSetOf(h0, h1, blank)) == nil {
+		t.Fatal("Open with a blank heap replacing a member should fail")
 	}
-	if _, err := RecoverSet(pmem.NewSetOf(h0, h2, h1), 2); err == nil {
-		t.Fatal("Recover with members out of order should fail")
+	if openSet(pmem.NewSetOf(h0, h2, h1)) == nil {
+		t.Fatal("Open with members out of order should fail")
 	}
 	// A foreign heap carrying another broker's stamp must be rejected.
 	foreign := pmem.NewSet(2, cfg)
-	if _, err := NewSet(foreign, Config{Topics: []TopicConfig{{Name: "x", Shards: 1}}, Threads: 1}); err != nil {
-		t.Fatal(err)
-	}
+	openWith(t, foreign, Options{Threads: 1}, 0, TopicConfig{Name: "x", Shards: 1})
 	foreign.CrashNow()
 	foreign.FinalizeCrash(rand.New(rand.NewSource(7)))
 	foreign.Restart()
-	if _, err := RecoverSet(pmem.NewSetOf(h0, h1, foreign.Heap(1)), 2); err == nil {
-		t.Fatal("Recover with another broker's heap spliced in should fail")
+	if openSet(pmem.NewSetOf(h0, h1, foreign.Heap(1))) == nil {
+		t.Fatal("Open with another broker's heap spliced in should fail")
 	}
 	// The correct set still recovers, with the message intact.
-	r, err := RecoverSet(pmem.NewSetOf(h0, h1, h2), 2)
+	r, err := Open(pmem.NewSetOf(h0, h1, h2), Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -795,37 +778,40 @@ func TestRecoverHeapSetMismatch(t *testing.T) {
 	}
 }
 
-// TestNewSetRejectsOccupiedMembers: NewSet must refuse any set whose
-// members carry durable broker state — in any position, not just heap
-// 0 — instead of silently overwriting another broker's catalog, stamp
-// or shards.
-func TestNewSetRejectsOccupiedMembers(t *testing.T) {
+// TestOpenRejectsOccupiedMembers: Open must not create a broker over a
+// set whose members carry durable broker state — in any position, not
+// just heap 0 — instead of silently overwriting another broker's
+// catalog, stamp or shards. A catalog on heap 0 means recovery, which
+// then insists on every member's stamp.
+func TestOpenRejectsOccupiedMembers(t *testing.T) {
 	cfg := pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4}
-	topics := []TopicConfig{{Name: "events", Shards: 2}}
 	old := pmem.NewSet(2, cfg)
-	if _, err := NewSet(old, Config{Topics: topics, Threads: 2}); err != nil {
-		t.Fatal(err)
-	}
+	openWith(t, old, Options{Threads: 2}, 0, TopicConfig{Name: "events", Shards: 2})
 	old.CrashNow()
 	old.FinalizeCrash(rand.New(rand.NewSource(8)))
 	old.Restart()
 
 	fresh := func() *pmem.Heap { return pmem.New(cfg) }
+	openSet := func(set *pmem.HeapSet) error {
+		_, err := Open(set, Options{Threads: 2})
+		return err
+	}
 	// A former anchor heap (full catalog) spliced into a non-anchor
 	// position of a new set.
-	if _, err := NewSet(pmem.NewSetOf(fresh(), old.Heap(0)), Config{Topics: topics, Threads: 2}); err == nil {
-		t.Fatal("NewSet over a heap hosting a catalog (non-anchor position) should fail")
+	if openSet(pmem.NewSetOf(fresh(), old.Heap(0))) == nil {
+		t.Fatal("Open creating over a heap hosting a catalog (non-anchor position) should fail")
 	}
 	// A former member heap (stamp) likewise.
-	if _, err := NewSet(pmem.NewSetOf(fresh(), old.Heap(1)), Config{Topics: topics, Threads: 2}); err == nil {
-		t.Fatal("NewSet over a heap carrying a membership stamp should fail")
+	if openSet(pmem.NewSetOf(fresh(), old.Heap(1))) == nil {
+		t.Fatal("Open creating over a heap carrying a membership stamp should fail")
 	}
-	// Anchor position still guarded too.
-	if _, err := NewSet(pmem.NewSetOf(old.Heap(0), fresh()), Config{Topics: topics, Threads: 2}); err == nil {
-		t.Fatal("NewSet over an anchor heap hosting a catalog should fail")
+	// A catalog anchor with a blank heap 1 recovers, and the missing
+	// stamp fails it.
+	if openSet(pmem.NewSetOf(old.Heap(0), fresh())) == nil {
+		t.Fatal("Open over an anchor heap hosting a catalog with a blank member should fail")
 	}
 	// The untouched old set remains recoverable.
-	if _, err := RecoverSet(pmem.NewSetOf(old.Heap(0), old.Heap(1)), 2); err != nil {
+	if err := openSet(pmem.NewSetOf(old.Heap(0), old.Heap(1))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -835,14 +821,7 @@ func TestNewSetRejectsOccupiedMembers(t *testing.T) {
 // and a PollBatch draining several shards pays exactly one SFENCE.
 func TestAffineGroupFencesOneDomain(t *testing.T) {
 	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, MaxThreads: 4})
-	b, err := NewSet(hs, Config{
-		Topics:    []TopicConfig{{Name: "events", Shards: 4}},
-		Threads:   2,
-		Placement: BlockPlacement,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, hs, Options{Threads: 2, Placement: BlockPlacement}, 0, TopicConfig{Name: "events", Shards: 4})
 	g, err := b.NewGroupAffine([]string{"events"}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -870,10 +849,7 @@ func TestAffineGroupFencesOneDomain(t *testing.T) {
 	// Contrast: a round-robin-assigned group over round-robin placement
 	// owns shards on both domains and pays one fence per domain.
 	hs2 := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, MaxThreads: 4})
-	b2, err := NewSet(hs2, Config{Topics: []TopicConfig{{Name: "events", Shards: 4}}, Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b2 := openWith(t, hs2, Options{Threads: 2}, 0, TopicConfig{Name: "events", Shards: 4})
 	g2, err := b2.NewGroup([]string{"events"}, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,9 @@ import (
 	"repro/internal/pmem"
 )
 
-// The v4 catalog is no longer a write-once snapshot but an append-only
-// durable *log* of administrative records — the redesign that makes
-// topics and ack-group lease regions creatable on a live broker.
+// The catalog is an append-only durable *log* of administrative
+// records, which makes topics and ack-group lease regions creatable on
+// a live broker.
 // Every creation follows the second amendment's own ordered-persist
 // discipline, the same append → fence → anchor pattern the queues use
 // for nodes:
@@ -82,10 +82,6 @@ import (
 //	line 1: name words 0..3, 0...
 //	line 2+: one placement word per shard, heapID<<32 | baseSlot
 //
-// (word 6 = 0 in records written before topic retirement existed:
-// replay then assigns the global base sequentially, which is exactly
-// what those brokers did.)
-//
 // Ack-group record (header line only):
 //
 //	line 0: [recAckMagic, seq, capacity, heapID<<32 | anchorSlot,
@@ -101,8 +97,8 @@ import (
 // body word, so a torn record — some lines landed, others not — fails
 // validation. A *committed* record that fails validation is a hard
 // recovery error (the catalog is corrupt); an uncommitted one is
-// expected debris. Membership stamps on heaps 1.. are unchanged from
-// v2/v3.
+// expected debris. Membership stamps on heaps 1.. are described in
+// catalog.go.
 
 const (
 	catMagicV4    = 0x42726f6b657234 // "Broker4": append-only catalog log
@@ -411,6 +407,18 @@ func packName(s string) [8]uint64 {
 	return line
 }
 
+// unpackName decodes the first n bytes of a name line written by
+// packName.
+func unpackName(line [8]uint64, n uint64) string {
+	name := make([]byte, catNameBytes)
+	for w := 0; w < catNameBytes/pmem.WordBytes; w++ {
+		for b := 0; b < 8; b++ {
+			name[w*8+b] = byte(line[w] >> (8 * b))
+		}
+	}
+	return string(name[:n])
+}
+
 func topicRecord(seq int, tc TopicConfig, locs []shardLoc, base int) ([7]uint64, [][8]uint64) {
 	placeLines := (len(locs) + pmem.WordsPerLine - 1) / pmem.WordsPerLine
 	payloadWord := uint64(tc.MaxPayload) | uint64(tc.Kind)<<catKindShift
@@ -550,7 +558,8 @@ func (cl *catalogLog) compact(tid, threads, capacityLines int,
 // (checksum, bounds, field sanity) and anything beyond the commit
 // point — the torn tail of a creation that crashed before its anchor
 // stamp — is ignored and will be overwritten by the next append. The
-// returned catalogLog is positioned to continue appending.
+// returned layout's catalogLog is positioned to continue appending;
+// the set stamp is returned for the membership check.
 //
 // Replay is also an allocator simulation: each creation record claims
 // its root-slot windows, each tombstone retires its topic's windows,
@@ -558,60 +567,61 @@ func (cl *catalogLog) compact(tid, threads, capacityLines int,
 // structure — or partially overlap a retired window instead of reusing
 // it exactly — is a hard recovery error. What is retired and never
 // reclaimed at the end of the log becomes the rebuilt free list.
-func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *catalogLog, int, uint64, error) {
+func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, uint64, error) {
 	var hdr [7]uint64
 	for i := range hdr {
 		hdr[i] = r.word(reg + pmem.Addr(i*pmem.WordBytes))
 	}
 	gotSum := r.word(reg + 7*pmem.WordBytes)
 	if r.err != nil {
-		return layoutInfo{}, nil, 0, 0, r.err
+		return layoutInfo{}, 0, r.err
 	}
 	if gotSum != catChecksum(hdr[:]) {
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log header corrupt (checksum mismatch)")
+		return layoutInfo{}, 0, fmt.Errorf("broker: catalog log header corrupt (checksum mismatch)")
 	}
 	threads := hdr[1]
-	heapCount := hdr[2]
 	stamp := hdr[3]
 	totalLines := hdr[4]
 	allocLines := hdr[5]
 	gen := hdr[6]
-	if heapCount == 0 || heapCount > maxCatHeaps {
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog heap count %d invalid", heapCount)
+	heaps := hs.Len()
+	if hdr[2] != uint64(heaps) {
+		return layoutInfo{}, 0, fmt.Errorf("broker: catalog records %d heaps, the given set has %d",
+			hdr[2], heaps)
 	}
 	if totalLines == 0 || totalLines > maxCatalogLines {
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log capacity %d lines invalid", totalLines)
+		return layoutInfo{}, 0, fmt.Errorf("broker: catalog log capacity %d lines invalid", totalLines)
 	}
-	if allocLines != uint64(allocLinesFor(int(heapCount))) {
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log records %d allocator lines for %d heaps, want %d",
-			allocLines, heapCount, allocLinesFor(int(heapCount)))
+	if allocLines != uint64(allocLinesFor(heaps)) {
+		return layoutInfo{}, 0, fmt.Errorf("broker: catalog log records %d allocator lines for %d heaps, want %d",
+			allocLines, heaps, allocLinesFor(heaps))
 	}
 	if gen >= maxCatGenerations {
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log generation %d invalid", gen)
+		return layoutInfo{}, 0, fmt.Errorf("broker: catalog log generation %d invalid", gen)
 	}
 	cl := &catalogLog{
 		h:          r.h,
-		heaps:      int(heapCount),
+		heaps:      heaps,
 		base:       reg,
 		totalLines: int(totalLines),
 		allocLines: int(allocLines),
 		stamp:      stamp,
 		gen:        gen,
-		marks:      make([]int, heapCount),
-		free:       make([]map[int][]int, heapCount),
+		marks:      make([]int, heaps),
+		free:       make([]map[int][]int, heaps),
 	}
 	records := r.word(cl.lineAddr(1))
 	floor := r.word(cl.lineAddr(1) + pmem.WordBytes)
 	if records > uint64(cl.totalLines) { // each record spans >= 1 line
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log commit count %d absurd (capacity %d lines)",
+		return layoutInfo{}, 0, fmt.Errorf("broker: catalog log commit count %d absurd (capacity %d lines)",
 			records, cl.totalLines)
 	}
 	if floor > maxCatShards {
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log ordinal floor %d invalid", floor)
+		return layoutInfo{}, 0, fmt.Errorf("broker: catalog log ordinal floor %d invalid", floor)
 	}
 
 	lay := layoutInfo{threads: int(threads), nextGlobal: int(floor)}
-	replayMarks := make([]int, heapCount)
+	replayMarks := make([]int, heaps)
 	for i := range replayMarks {
 		replayMarks[i] = 1
 	}
@@ -619,14 +629,14 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 	// The allocator simulation: per heap, windows claimed by live
 	// structures and windows retired by tombstones.
 	type repWin struct{ base, width int }
-	liveWins := make([][]repWin, heapCount)
-	freedWins := make([][]repWin, heapCount)
+	liveWins := make([][]repWin, heaps)
+	freedWins := make([][]repWin, heaps)
 	claimWin := func(rec int, what string, loc shardLoc, width int) error {
-		if loc.heap < 0 || loc.heap >= int(heapCount) {
+		if loc.heap < 0 || loc.heap >= heaps {
 			return fmt.Errorf("broker: catalog log record %d places %s on heap %d of %d",
-				rec, what, loc.heap, heapCount)
+				rec, what, loc.heap, heaps)
 		}
-		if loc.base < 1 || (loc.heap < hs.Len() && loc.base+width > hs.Heap(loc.heap).RootSlots()) {
+		if loc.base < 1 || loc.base+width > hs.Heap(loc.heap).RootSlots() {
 			return fmt.Errorf("broker: catalog log record %d places %s at slots [%d,%d) outside heap %d",
 				rec, what, loc.base, loc.base+width, loc.heap)
 		}
@@ -677,7 +687,7 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 	topics, ackGroups := 0, 0
 	for rec := 0; rec < int(records); rec++ {
 		if cursor >= cl.totalLines {
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d starts beyond capacity", rec)
+			return layoutInfo{}, 0, fmt.Errorf("broker: catalog log record %d starts beyond capacity", rec)
 		}
 		hdrAddr := cl.lineAddr(cursor)
 		var rh [7]uint64
@@ -687,10 +697,10 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 		recSum := r.word(hdrAddr + 7*pmem.WordBytes)
 		bodyLines := rh[5]
 		if r.err != nil {
-			return layoutInfo{}, nil, 0, 0, r.err
+			return layoutInfo{}, 0, r.err
 		}
 		if bodyLines > uint64(cl.totalLines) || cursor+1+int(bodyLines) > cl.totalLines {
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d overruns capacity", rec)
+			return layoutInfo{}, 0, fmt.Errorf("broker: catalog log record %d overruns capacity", rec)
 		}
 		sum := make([]uint64, 0, 7+int(bodyLines)*8)
 		sum = append(sum, rh[:]...)
@@ -703,13 +713,13 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 			sum = append(sum, body[bi][:]...)
 		}
 		if r.err != nil {
-			return layoutInfo{}, nil, 0, 0, r.err
+			return layoutInfo{}, 0, r.err
 		}
 		if recSum != catChecksum(sum) {
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d corrupt (checksum mismatch)", rec)
+			return layoutInfo{}, 0, fmt.Errorf("broker: catalog log record %d corrupt (checksum mismatch)", rec)
 		}
 		if rh[1] != uint64(rec+1) {
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d carries sequence %d", rec, rh[1])
+			return layoutInfo{}, 0, fmt.Errorf("broker: catalog log record %d carries sequence %d", rec, rh[1])
 		}
 		switch rh[0] {
 		case recTopicMagic:
@@ -718,50 +728,38 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 			nameLen := rh[4]
 			baseWord := rh[6]
 			if shards == 0 || shards > maxCatShards {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid shard count %d", rec, shards)
+				return layoutInfo{}, 0, fmt.Errorf("broker: catalog log record %d has invalid shard count %d", rec, shards)
 			}
 			if nameLen == 0 || nameLen > catNameBytes {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid name length %d", rec, nameLen)
+				return layoutInfo{}, 0, fmt.Errorf("broker: catalog log record %d has invalid name length %d", rec, nameLen)
 			}
 			if want := 1 + (int(shards)+pmem.WordsPerLine-1)/pmem.WordsPerLine; int(bodyLines) != want {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has %d body lines for %d shards, want %d",
+				return layoutInfo{}, 0, fmt.Errorf("broker: catalog log record %d has %d body lines for %d shards, want %d",
 					rec, bodyLines, shards, want)
 			}
-			if baseWord > maxCatShards {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid ordinal base %d", rec, baseWord)
+			if baseWord == 0 || baseWord > maxCatShards {
+				return layoutInfo{}, 0, fmt.Errorf("broker: catalog log record %d has invalid ordinal base %d", rec, baseWord)
 			}
 			if topics++; topics > maxCatTopics {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log exceeds %d topics", maxCatTopics)
+				return layoutInfo{}, 0, fmt.Errorf("broker: catalog log exceeds %d topics", maxCatTopics)
 			}
-			nameBytes := make([]byte, catNameBytes)
-			for w := 0; w < catNameBytes/pmem.WordBytes; w++ {
-				for b := 0; b < 8; b++ {
-					nameBytes[w*8+b] = byte(body[0][w] >> (8 * b))
-				}
-			}
-			name := string(nameBytes[:nameLen])
+			name := unpackName(body[0], nameLen)
 			if byName[name] != nil {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log records topic %q twice", name)
+				return layoutInfo{}, 0, fmt.Errorf("broker: catalog log records topic %q twice", name)
 			}
-			// Word 6 is 1+base for records written since topic retirement
-			// existed; 0 means sequential assignment, exactly what the
-			// broker that wrote the record did.
-			base := lay.nextGlobal
-			if baseWord > 0 {
-				base = int(baseWord) - 1
-			}
+			base := int(baseWord) - 1
 			if end := base + int(shards); end > lay.nextGlobal {
 				lay.nextGlobal = end
 			}
 			kind := TopicKind((payloadWord & catKindMask) >> catKindShift)
 			if kind > KindPriority {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid topic kind %d", rec, int(kind))
+				return layoutInfo{}, 0, fmt.Errorf("broker: catalog log record %d has invalid topic kind %d", rec, int(kind))
 			}
 			locs := make([]shardLoc, shards)
 			for s := range locs {
 				locs[s] = unpackLoc(body[1+s/pmem.WordsPerLine][s%pmem.WordsPerLine])
 				if err := claimWin(rec, fmt.Sprintf("topic %q shard %d", name, s), locs[s], slotsForKind(kind)); err != nil {
-					return layoutInfo{}, nil, 0, 0, err
+					return layoutInfo{}, 0, err
 				}
 			}
 			rt := &repTopic{
@@ -781,34 +779,28 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 			capacity := rh[2]
 			loc := unpackLoc(rh[3])
 			if capacity == 0 || capacity > maxCatShards {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid lease capacity %d", rec, capacity)
+				return layoutInfo{}, 0, fmt.Errorf("broker: catalog log record %d has invalid lease capacity %d", rec, capacity)
 			}
 			if ackGroups++; ackGroups > maxCatAckGroups {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log exceeds %d ack groups", maxCatAckGroups)
+				return layoutInfo{}, 0, fmt.Errorf("broker: catalog log exceeds %d ack groups", maxCatAckGroups)
 			}
 			if err := claimWin(rec, fmt.Sprintf("lease region %d", ackGroups-1), loc, 1); err != nil {
-				return layoutInfo{}, nil, 0, 0, err
+				return layoutInfo{}, 0, err
 			}
 			lay.leaseLocs = append(lay.leaseLocs, loc)
 			lay.leaseCaps = append(lay.leaseCaps, int(capacity))
 		case recTombMagic:
 			nameLen := rh[2]
 			if nameLen == 0 || nameLen > catNameBytes {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid name length %d", rec, nameLen)
+				return layoutInfo{}, 0, fmt.Errorf("broker: catalog log record %d has invalid name length %d", rec, nameLen)
 			}
 			if bodyLines != 1 {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log tombstone %d has %d body lines, want 1", rec, bodyLines)
+				return layoutInfo{}, 0, fmt.Errorf("broker: catalog log tombstone %d has %d body lines, want 1", rec, bodyLines)
 			}
-			nameBytes := make([]byte, catNameBytes)
-			for w := 0; w < catNameBytes/pmem.WordBytes; w++ {
-				for b := 0; b < 8; b++ {
-					nameBytes[w*8+b] = byte(body[0][w] >> (8 * b))
-				}
-			}
-			name := string(nameBytes[:nameLen])
+			name := unpackName(body[0], nameLen)
 			rt := byName[name]
 			if rt == nil {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log tombstone %d names no live topic %q", rec, name)
+				return layoutInfo{}, 0, fmt.Errorf("broker: catalog log tombstone %d names no live topic %q", rec, name)
 			}
 			rt.dead = true
 			delete(byName, name)
@@ -827,7 +819,7 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 			}
 			cl.deadLines += topicRecLines(len(rt.locs)) + tombstoneLines
 		default:
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d magic %#x invalid", rec, rh[0])
+			return layoutInfo{}, 0, fmt.Errorf("broker: catalog log record %d magic %#x invalid", rec, rh[0])
 		}
 		cursor += 1 + int(bodyLines)
 	}
@@ -851,20 +843,21 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 	// ahead of the replayed maxima — windows claimed by a creation that
 	// crashed before its anchor stay retired forever), but it can never
 	// durably lag a committed record, whose claim was fenced first.
-	for i := 0; i < int(heapCount); i++ {
+	for i := 0; i < heaps; i++ {
 		m := int(r.word(cl.markAddr(i)))
 		if r.err != nil {
-			return layoutInfo{}, nil, 0, 0, r.err
+			return layoutInfo{}, 0, r.err
 		}
 		if m < replayMarks[i] {
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: heap %d high-water mark %d lags committed windows (%d)",
+			return layoutInfo{}, 0, fmt.Errorf("broker: heap %d high-water mark %d lags committed windows (%d)",
 				i, m, replayMarks[i])
 		}
-		if i < hs.Len() && m > hs.Heap(i).RootSlots() {
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: heap %d high-water mark %d exceeds %d root slots",
+		if m > hs.Heap(i).RootSlots() {
+			return layoutInfo{}, 0, fmt.Errorf("broker: heap %d high-water mark %d exceeds %d root slots",
 				i, m, hs.Heap(i).RootSlots())
 		}
 		cl.marks[i] = m
 	}
-	return lay, cl, int(heapCount), stamp, nil
+	lay.cat = cl
+	return lay, stamp, nil
 }

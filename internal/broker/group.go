@@ -56,7 +56,7 @@ type ShardRef struct {
 // writes a durable lease record before returning messages and the
 // messages are consumed only when Consumer.Ack covers them, giving
 // exactly-once *processing* across consumer crashes (lease takeover
-// redelivers the unacked suffix, see Adopt) and broker crashes
+// redelivers the unacked suffix, see Reassign) and broker crashes
 // (recovery redelivers everything beyond the acked frontier).
 type Group struct {
 	consumers []*Consumer
@@ -75,7 +75,7 @@ type Group struct {
 	now       func() uint64
 	cache     []leaseCache // one per global shard ordinal, owner-accessed
 	recovered []RecoveredLease
-	mu        sync.Mutex // serializes Adopt/Reassign/Scan and Subscribe against each other
+	mu        sync.Mutex // serializes Reassign/Scan and Subscribe against each other
 
 	// epochs holds the current fencing token per global shard ordinal —
 	// the volatile authority mirrored into every lease line's epoch
@@ -193,13 +193,13 @@ func (b *Broker) NewGroupAffine(topicNames []string, n int) (*Group, error) {
 
 // LeaseConfig parameterizes an acked consumer group.
 type LeaseConfig struct {
-	// Region selects which lease region (CreateAckGroup, or the legacy
-	// Config.AckGroups) backs the group; a region serves one live
-	// group at a time, and covers only topics whose shards' global
-	// ordinals fall below its recorded capacity.
+	// Region selects which lease region (CreateAckGroup) backs the
+	// group; a region serves one live group at a time, and covers only
+	// topics whose shards' global ordinals fall below its recorded
+	// capacity.
 	Region int
 	// TTL is the lease duration in clock units; a member whose lease is
-	// older than TTL may have its shards adopted (Adopt). Default:
+	// older than TTL may have its shards taken over (Reassign). Default:
 	// one second of wall-clock nanoseconds.
 	TTL uint64
 	// Now is the group's clock. Default: wall-clock nanoseconds. Tests
@@ -210,7 +210,7 @@ type LeaseConfig struct {
 // NewGroupAcked subscribes n consumers to the named topics — all of
 // which must be Acked — with durable delivery state: every poll writes
 // a lease record into the group's region before returning messages,
-// Consumer.Ack durably marks them processed, and Adopt moves a
+// Consumer.Ack durably marks them processed, and Reassign moves a
 // crashed member's shards (redelivering its unacked suffix) to a
 // survivor. Shards are dealt round-robin as in NewGroup.
 //
@@ -439,7 +439,7 @@ type consumerShard struct {
 	cur *obs.ShardCursor
 
 	// Acked-group bookkeeping, accessed only by the owning member (or
-	// under the involved members' locks during Adopt/Reassign/Steal).
+	// under the involved members' locks during Reassign/Steal).
 	deliveredTo uint64 // last queue index returned to the application
 	leasedTo    uint64 // high end of the durable lease obligation
 	pendingN    int    // queued redeliveries not yet re-served
@@ -460,7 +460,7 @@ type pendingMsg struct {
 type Consumer struct {
 	g       *Group
 	id      int
-	mu      sync.Mutex // serializes member ops against Adopt/Reassign/Scan (acked groups)
+	mu      sync.Mutex // serializes member ops against Reassign/Scan (acked groups)
 	refs    []*consumerShard
 	next    int
 	pending []pendingMsg
@@ -590,7 +590,7 @@ func (c *Consumer) Poll(tid int) (Message, bool) {
 // makes durable — before any message is returned — is the lease
 // record (owner, unacked range, deadline) in the group's region, so
 // delivery state itself survives crashes. Messages queued for
-// redelivery (Adopt, Nack) are served first, in index order per
+// redelivery (by a takeover or a Nack) are served first, in index order per
 // shard; the batch stays redeliverable until Consumer.Ack covers it.
 // An empty result means every owned shard was observed empty.
 func (c *Consumer) PollBatch(tid, max int) []Message {
@@ -1038,26 +1038,6 @@ func (c *Consumer) Renew(tid int, deadline uint64) error {
 	}
 	w.commit()
 	return nil
-}
-
-// Adopt transfers every shard of member `from` to member `to`,
-// redelivering the unacknowledged suffix: `from` crashed (or went
-// silent past its lease deadline), so everything it was handed but
-// never acknowledged is queued on `to` for redelivery, and each
-// affected lease record is rewritten to the new owner — with a
-// bumped fencing epoch, so a resurfacing `from` gets ErrFenced —
-// and a fresh deadline before Adopt returns (one fence). Messages
-// `from` had acknowledged are durably consumed and never reappear —
-// takeover preserves exactly-once processing.
-//
-// Adopt refuses while any of from's lease records is durably
-// unexpired at the group clock (ErrUnexpiredLease): a live member may
-// still be processing its window. Drive `from`'s goroutine to
-// completion first, or use Reassign with force; tid may be the dead
-// member's thread id. Returns the number of redeliveries moved.
-// Adopt is the single-target form of Reassign.
-func (g *Group) Adopt(tid, from, to int) (int, error) {
-	return g.Reassign(tid, from, []int{to}, false)
 }
 
 // leaseWriter batches lease-line writes that ride one fence on the

@@ -42,8 +42,8 @@ func TestReassignValidation(t *testing.T) {
 	wantErr("from among targets", ErrSelfTransfer, err)
 	_, err = g.Reassign(0, 1, []int{0, 2, 0}, false)
 	wantErr("duplicate target", ErrBadMember, err)
-	_, err = g.Adopt(0, 1, 1)
-	wantErr("Adopt onto itself", ErrSelfTransfer, err)
+	_, err = g.Reassign(0, 1, []int{1}, false)
+	wantErr("single target onto itself", ErrSelfTransfer, err)
 
 	// A live (unexpired) lease refuses takeover without force.
 	for i := uint64(0); i < 16; i++ {
@@ -55,8 +55,8 @@ func TestReassignValidation(t *testing.T) {
 	}
 	_, err = g.Reassign(0, 1, []int{0, 2}, false)
 	wantErr("unexpired lease without force", ErrUnexpiredLease, err)
-	_, err = g.Adopt(0, 1, 0)
-	wantErr("Adopt with unexpired lease", ErrUnexpiredLease, err)
+	_, err = g.Reassign(0, 1, []int{0}, false)
+	wantErr("single target with unexpired lease", ErrUnexpiredLease, err)
 	// force takes the shards regardless; the victim's next ack is
 	// refused with the typed fencing error.
 	moved, err := g.Reassign(0, 1, []int{0, 2}, true)
@@ -430,7 +430,7 @@ func TestEpochDurability(t *testing.T) {
 		t.Fatal("victim holds no window")
 	}
 	clk.Advance(100)
-	if _, err := g.Adopt(0, 1, 0); err != nil {
+	if _, err := g.Reassign(0, 1, []int{0}, false); err != nil {
 		t.Fatal(err)
 	}
 	// The takeover bumped the victim's shards to epoch 1, durably.
@@ -447,7 +447,7 @@ func TestEpochDurability(t *testing.T) {
 	hs.CrashNow()
 	hs.FinalizeCrash(rand.New(rand.NewSource(61)))
 	hs.Restart()
-	r, err := RecoverSet(hs, 3)
+	r, err := Open(hs, Options{Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestEpochDurability(t *testing.T) {
 		t.Fatal("post-crash victim polled nothing")
 	}
 	clk.Advance(100)
-	if _, err := g2.Adopt(0, 1, 0); err != nil {
+	if _, err := g2.Reassign(0, 1, []int{0}, false); err != nil {
 		t.Fatal(err)
 	}
 	past := 0
@@ -532,10 +532,7 @@ func membershipChurnRound(t *testing.T, seed int64) {
 		ctlTid      = producers + consumers
 	)
 	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := NewSet(hs, Config{Topics: twoAckedTopics(), Threads: threads, AckGroups: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, hs, Options{Threads: threads}, 1, twoAckedTopics()...)
 	clk := &logicalClock{}
 	g, err := b.NewGroupAcked([]string{"events", "jobs"}, consumers, LeaseConfig{TTL: 5, Now: clk.Now})
 	if err != nil {
@@ -749,7 +746,7 @@ func membershipChurnRound(t *testing.T, seed int64) {
 	hs.FinalizeCrash(rand.New(rand.NewSource(seed * 17)))
 	hs.Restart()
 
-	r, err := RecoverSet(hs, threads)
+	r, err := Open(hs, Options{Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}

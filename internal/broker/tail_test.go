@@ -19,10 +19,7 @@ import (
 // and the steady state is one fence per Max-sized window.
 func TestPublisherAdaptiveFenceRegimes(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 2}}, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, pmem.NewSetOf(h), Options{Threads: 1}, 0, TopicConfig{Name: "events", Shards: 2})
 	clk := int64(0)
 	newPub := func() *Publisher {
 		return b.Topic("events").NewPublisher(0, PublisherConfig{
@@ -79,10 +76,7 @@ func TestPublisherAdaptiveFenceRegimes(t *testing.T) {
 // whose policy has collapsed to Min pays zero persists per empty poll.
 func TestConsumerAdaptiveFenceRegimes(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 1}}, Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, pmem.NewSetOf(h), Options{Threads: 2}, 0, TopicConfig{Name: "events", Shards: 1})
 	const n = 120
 	for i := uint64(0); i < n; i++ {
 		b.Topic("events").Publish(0, U64(i))
@@ -155,11 +149,7 @@ func TestPublisherPipelineFenceParity(t *testing.T) {
 		// node-arena warmup; the comparison isolates the publish fences.
 		run := func(pipeline bool) (fences uint64, ackTrail []int) {
 			h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-			b, err := New(h, Config{Topics: []TopicConfig{
-				{Name: "events", Shards: 2, MaxPayload: payload}}, Threads: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := openWith(t, pmem.NewSetOf(h), Options{Threads: 1}, 0, TopicConfig{Name: "events", Shards: 2, MaxPayload: payload})
 			pub := b.Topic("events").NewPublisher(0, PublisherConfig{
 				Policy: batch.Fixed{N: wsize}, Pipeline: pipeline,
 			})
@@ -312,10 +302,7 @@ func TestAckAsyncDeferredFence(t *testing.T) {
 // deterministic.
 func TestSubscribeNotQuiescent(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: twoTopics(), Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, pmem.NewSetOf(h), Options{Threads: 2}, 0, twoTopics()...)
 	g, err := b.NewGroup([]string{"events"}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -358,10 +345,7 @@ func TestSubscribeNotQuiescent(t *testing.T) {
 // on its backoff timer issuing zero persists.
 func TestPollerDrainsBacklogAndIdlesFree(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 4}}, Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openWith(t, pmem.NewSetOf(h), Options{Threads: 2}, 0, TopicConfig{Name: "events", Shards: 4})
 	const n = 500
 	for i := uint64(0); i < n; i++ {
 		b.Topic("events").Publish(0, U64(i))

@@ -998,7 +998,7 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 					return
 				default:
 				}
-				moved, err := g.Adopt(cfg.Producers+victim, victim, 0)
+				moved, err := g.Reassign(cfg.Producers+victim, victim, []int{0}, false)
 				if err != nil {
 					// A failed takeover strands the victim's backlog; the
 					// measurement is invalid, so surface it.
