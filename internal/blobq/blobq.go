@@ -4,18 +4,19 @@
 // algorithms to nodes that span multiple cache lines without adding
 // fence operations."
 //
-// Queue is an OptUnlinkedQ (Section 6.1) whose items are byte
-// payloads stored in persistent blobs. A blob occupies a fixed number
-// of cache lines; every line carries 56 payload bytes plus an 8-byte
-// seal combining a globally unique blob tag with the line number. The
-// enqueuer writes the payload lines (data before seal, per line),
-// issues asynchronous flushes for all of them, then links the node
-// and rides the operation's single fence — no additional blocking
-// persist. Recovery accepts a node only if its blob's every seal
-// matches the node's tag, so a node whose linked flag was evicted
-// early while its payload was not cannot resurrect garbage: under
-// durable linearizability such an enqueue was pending and is
-// discarded.
+// A Queue is a queues.OptUnlinked (Section 6.1) whose items are byte
+// payloads; this package is only the payload codec that queue runs.
+// A payload is stored in a persistent blob of a fixed number of cache
+// lines; every line carries 56 payload bytes plus an 8-byte seal
+// combining a globally unique blob tag with the line number. The codec
+// writes the payload lines (data before seal, per line) and issues
+// asynchronous flushes for all of them before the queue links the
+// node, so the operation's single fence covers them too — no
+// additional blocking persist. Recovery accepts a node only if its
+// blob's every seal matches the node's tag, so a node whose linked
+// flag was evicted early while its payload was not cannot resurrect
+// garbage: under durable linearizability such an enqueue was pending
+// and is discarded.
 //
 // Normal-path reads never touch the flushed blob lines: the payload
 // also lives in the node's Volatile half (a Go byte slice), so the
@@ -26,11 +27,9 @@ package blobq
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/pmem"
+	"repro/internal/queues"
 	"repro/internal/ssmem"
 )
 
@@ -40,20 +39,17 @@ const (
 	sealOff  = pmem.Addr(lineData)
 )
 
-// Persistent node layout (one line): [index, linked, blob, tag, len].
+// The codec's words of the node line; the queue owns words 1 and 2
+// (index, linked).
 const (
-	pnIndex  = pmem.Addr(0)
-	pnLinked = pmem.Addr(8)
-	pnBlob   = pmem.Addr(16)
-	pnTag    = pmem.Addr(24)
-	pnLen    = pmem.Addr(32)
+	pnBlob = pmem.Addr(0)
+	pnTag  = pmem.Addr(24)
+	pnLen  = pmem.Addr(32)
 )
 
-// Root slots (a heap hosts one queue).
+// Root slots beside the queue's own (2 node pool, 3 local lines, 4 ack
+// lines); a heap hosts one queue.
 const (
-	slotPool     = 2
-	slotLocal    = 3
-	slotAck      = 4
 	slotBlobPool = 6
 	slotEpoch    = 7
 )
@@ -69,13 +65,13 @@ type Config struct {
 	// (DequeueLeased, zero persist instructions), payloads stay durable
 	// until AckTo covers them, and recovery redelivers everything
 	// beyond the maximum per-thread acked index instead of everything
-	// beyond the dequeued frontier. Mirrors queues.NewOptUnlinkedQAcked.
+	// beyond the dequeued frontier (see queues.NewOptUnlinkedQAcked).
 	Acked bool
 	// InitTid is the thread id New charges its construction persists
 	// to. Default 0 — fine for quiescent construction; a queue created
 	// while other threads run (a broker topic created on a live system)
 	// must use a tid owned by the constructing goroutine, because
-	// fences are per-thread. Mirrors queues.NewOptUnlinkedQAs.
+	// fences are per-thread (see queues.NewOptUnlinkedQAs).
 	InitTid int
 }
 
@@ -87,38 +83,73 @@ func (c *Config) norm() {
 
 func (c Config) blobLines() int { return (c.MaxPayload + lineData - 1) / lineData }
 
-// vnode is the Volatile half of a node.
-type vnode struct {
-	payload []byte
-	index   uint64
-	next    atomic.Pointer[vnode]
-	pnode   pmem.Addr
-	blob    pmem.Addr
+func (c Config) blobPool(tid int) ssmem.Config {
+	return ssmem.Config{
+		SlotBytes: c.blobLines() * pmem.CacheLineBytes, SlotsPerArea: 1024,
+		Threads: c.Threads, RootSlot: slotBlobPool, InitTid: tid,
+	}
 }
 
-// perThread keeps one thread's hot dequeue/ack state; uint64s precede
-// the bools and the tail padding rounds the struct to two full cache
-// lines, so adjacent per-thread entries never share a line (false
-// sharing would skew the persist-cost measurements).
-type perThread struct {
-	nodeToRetire *vnode
-	tagSeq       uint64
-	// pendingRetire / lastPersisted / pendingIdx / pendingDirty mirror
-	// queues.OptUnlinkedQ: deferred batch-dequeue state (retires held
-	// until the covering fence) and the empty-poll elision cache (skip
-	// the NTStore+Fence when the observed head index is already
-	// durable).
-	pendingRetire []*vnode
-	lastPersisted uint64
-	pendingIdx    uint64
-	// pendingAckIdx/pendingAckDirty mirror queues.OptUnlinkedQ's ack
-	// mode: the acked index NTStored by AckToUnfenced but not yet
-	// covered by a fence, promoted by CompleteAck.
-	pendingAckIdx   uint64
-	pendingDirty    bool
-	pendingAckDirty bool
-	_               [62]byte
+// Queue is a durable lock-free FIFO of byte payloads with one
+// blocking persist per operation and no access to flushed content.
+type Queue struct {
+	*queues.OptUnlinked[[]byte]
+	codec *codec
 }
+
+// New creates an empty payload queue.
+func New(h *pmem.Heap, cfg Config) *Queue {
+	cfg.norm()
+	tid := cfg.InitTid
+	c := newCodec(h, cfg)
+	c.blobs = ssmem.NewPool(h, cfg.blobPool(tid))
+	c.epoch = 1
+	h.Store(tid, h.RootAddr(slotEpoch), c.epoch)
+	h.Persist(tid, h.RootAddr(slotEpoch))
+	return &Queue{queues.NewOptUnlinked[[]byte](h, cfg.Threads, tid, cfg.Acked, c), c}
+}
+
+// Recover rebuilds the queue after a crash: a node is resurrected
+// only if it is linked, beyond the recovered consumption frontier, and
+// its blob is fully sealed with the node's tag (see
+// queues.RecoverOptUnlinked for the frontier). cfg.Acked must match
+// the mode the queue was created with; a mismatch is refused rather
+// than silently mis-scanned.
+func Recover(h *pmem.Heap, cfg Config) *Queue {
+	cfg.norm()
+	c := newCodec(h, cfg)
+	return &Queue{queues.RecoverOptUnlinked[[]byte](h, cfg.Threads, cfg.Acked, c), c}
+}
+
+// MaxPayload reports the configured payload capacity in bytes.
+func (q *Queue) MaxPayload() int { return q.codec.maxPayload() }
+
+// codec is the queues.Codec of sealed multi-line blobs.
+type codec struct {
+	h     *pmem.Heap
+	cfg   Config
+	blobs *ssmem.Pool
+	epoch uint64 // persistent boot incarnation, salts blob tags
+	seq   []tagSeq
+
+	// Recovery only: the blob areas a node may name, and the blobs
+	// owned by resurrected nodes.
+	areas []ssmem.Area
+	live  map[pmem.Addr]bool
+}
+
+// tagSeq is one thread's blob tag counter, padded to a cache line so
+// adjacent threads never share one.
+type tagSeq struct {
+	n uint64
+	_ [56]byte
+}
+
+func newCodec(h *pmem.Heap, cfg Config) *codec {
+	return &codec{h: h, cfg: cfg, seq: make([]tagSeq, cfg.Threads)}
+}
+
+func (c *codec) maxPayload() int { return c.cfg.blobLines() * lineData }
 
 // blobTag builds a tag that is unique across the heap's lifetime:
 // boot incarnations never share tags, so a recycled blob's stale
@@ -127,76 +158,64 @@ func blobTag(epoch uint64, tid int, seq uint64) uint64 {
 	return epoch<<40 | uint64(tid+1)<<32 | seq&0xffffffff
 }
 
-// Queue is a durable lock-free FIFO of byte payloads with one
-// blocking persist per operation and no access to flushed content.
-type Queue struct {
-	h         *pmem.Heap
-	cfg       Config
-	nodes     *ssmem.Pool
-	blobs     *ssmem.Pool
-	head      atomic.Pointer[vnode]
-	tail      atomic.Pointer[vnode]
-	localBase pmem.Addr
-	epoch     uint64 // persistent boot incarnation, salts blob tags
-	per       []perThread
-
-	// Ack mode (Config.Acked); see queues.OptUnlinkedQ for the full
-	// design discussion — the state here is the exact byte-payload
-	// mirror of it.
-	ackBase    pmem.Addr
-	ackMu      sync.Mutex
-	inflight   []*vnode
-	ackDurable uint64
+// Write allocates a blob, records it in the node line and writes the
+// sealed payload lines with asynchronous flushes only.
+func (c *codec) Write(tid int, pn pmem.Addr, payload []byte) ([]byte, pmem.Addr) {
+	if len(payload) > c.maxPayload() {
+		panic(fmt.Sprintf("blobq: payload %d exceeds capacity %d", len(payload), c.maxPayload()))
+	}
+	h := c.h
+	blob := c.blobs.Alloc(tid)
+	c.seq[tid].n++
+	tag := blobTag(c.epoch, tid, c.seq[tid].n)
+	h.Store(tid, pn+pnBlob, uint64(blob))
+	h.Store(tid, pn+pnTag, tag)
+	h.Store(tid, pn+pnLen, uint64(len(payload)))
+	c.writeBlob(tid, blob, tag, payload)
+	return append([]byte(nil), payload...), blob
 }
 
-// New creates an empty payload queue.
-func New(h *pmem.Heap, cfg Config) *Queue {
-	cfg.norm()
-	tid := cfg.InitTid
-	q := &Queue{
-		h:   h,
-		cfg: cfg,
-		nodes: ssmem.NewPool(h, ssmem.Config{
-			SlotBytes: pmem.CacheLineBytes, SlotsPerArea: 4096,
-			Threads: cfg.Threads, RootSlot: slotPool, InitTid: tid,
-		}),
-		blobs: ssmem.NewPool(h, ssmem.Config{
-			SlotBytes: cfg.blobLines() * pmem.CacheLineBytes, SlotsPerArea: 1024,
-			Threads: cfg.Threads, RootSlot: slotBlobPool, InitTid: tid,
-		}),
-		per: make([]perThread, cfg.Threads),
-	}
-	size := int64(cfg.Threads) * pmem.CacheLineBytes
-	q.localBase = h.AllocRaw(tid, size, pmem.CacheLineBytes)
-	h.InitRange(tid, q.localBase, size)
-	h.Store(tid, h.RootAddr(slotLocal), uint64(q.localBase))
-	h.Persist(tid, h.RootAddr(slotLocal))
-	q.epoch = 1
-	h.Store(tid, h.RootAddr(slotEpoch), q.epoch)
-	h.Persist(tid, h.RootAddr(slotEpoch))
-	if cfg.Acked {
-		q.ackBase = h.AllocRaw(tid, size, pmem.CacheLineBytes)
-		h.InitRange(tid, q.ackBase, size)
-		h.Store(tid, h.RootAddr(slotAck), uint64(q.ackBase))
-		h.Persist(tid, h.RootAddr(slotAck))
-	}
+// Release retires a consumed node's blob.
+func (c *codec) Release(tid int, blob pmem.Addr) { c.blobs.Retire(tid, blob) }
 
-	pn := q.nodes.Alloc(tid)
-	dummy := &vnode{pnode: pn}
-	q.head.Store(dummy)
-	q.tail.Store(dummy)
-	return q
+// Load accepts a node only if it names a blob slot, a length within
+// capacity and a blob fully sealed with the node's tag: otherwise its
+// flag or index was evicted before the payload became durable.
+func (c *codec) Load(pn pmem.Addr) ([]byte, pmem.Addr, bool) {
+	h := c.h
+	blob := pmem.Addr(h.Load(0, pn+pnBlob))
+	tag := h.Load(0, pn+pnTag)
+	n := h.Load(0, pn+pnLen)
+	if !ssmem.ValidSlot(c.areas, c.cfg.blobLines()*pmem.CacheLineBytes, blob) ||
+		n > uint64(c.maxPayload()) || !blobSealed(h, blob, tag, c.cfg.blobLines()) {
+		return nil, 0, false
+	}
+	c.live[blob] = true
+	return readBlob(h, blob, int(n)), blob, true
 }
 
-// MaxPayload reports the configured payload capacity in bytes.
-func (q *Queue) MaxPayload() int { return q.cfg.blobLines() * lineData }
+// Recover bumps the boot incarnation before the node scan, so tags
+// minted after this recovery can never collide with pre-crash seals,
+// and rebuilds the blob pool from the blobs the scan kept.
+func (c *codec) Recover(scan func()) {
+	h := c.h
+	cfg := c.cfg.blobPool(0)
+	c.areas = ssmem.Areas(h, cfg)
+	c.epoch = h.Load(0, h.RootAddr(slotEpoch)) + 1
+	h.Store(0, h.RootAddr(slotEpoch), c.epoch)
+	h.Persist(0, h.RootAddr(slotEpoch))
+	c.live = map[pmem.Addr]bool{}
+	scan()
+	c.blobs = ssmem.RecoverPool(h, cfg, func(a pmem.Addr) bool { return c.live[a] })
+	c.areas, c.live = nil, nil
+}
 
 // writeBlob writes payload into blob lines, data words before the
 // sealing word of each line (Assumption 1 orders them in NVRAM), and
 // issues asynchronous flushes. The caller's fence covers them.
-func (q *Queue) writeBlob(tid int, blob pmem.Addr, tag uint64, payload []byte) {
-	h := q.h
-	lines := q.cfg.blobLines()
+func (c *codec) writeBlob(tid int, blob pmem.Addr, tag uint64, payload []byte) {
+	h := c.h
+	lines := c.cfg.blobLines()
 	for l := 0; l < lines; l++ {
 		base := blob + pmem.Addr(l*pmem.CacheLineBytes)
 		chunk := l * lineData
@@ -244,446 +263,4 @@ func blobSealed(h *pmem.Heap, blob pmem.Addr, tag uint64, lines int) bool {
 		}
 	}
 	return true
-}
-
-// enqueueOne runs the enqueue protocol up to but not including the
-// blocking fence: allocate node and blob, write and asynchronously
-// flush the sealed payload lines, link via CAS, set the linked flag
-// and flush the node line. It returns the tail observed at link time
-// and the new node so the caller can order its fence and tail advance
-// (Enqueue fences before advancing; EnqueueBatch advances immediately
-// and rides one fence for the whole batch).
-func (q *Queue) enqueueOne(tid int, payload []byte) (tail, vn *vnode) {
-	if len(payload) > q.MaxPayload() {
-		panic(fmt.Sprintf("blobq: payload %d exceeds capacity %d", len(payload), q.MaxPayload()))
-	}
-	h := q.h
-	pn := q.nodes.Alloc(tid)
-	blob := q.blobs.Alloc(tid)
-	q.per[tid].tagSeq++
-	tag := blobTag(q.epoch, tid, q.per[tid].tagSeq)
-
-	vn = &vnode{payload: append([]byte(nil), payload...), pnode: pn, blob: blob}
-	h.Store(tid, pn+pnLinked, 0) // before the index, as in UnlinkedQ
-	h.Store(tid, pn+pnBlob, uint64(blob))
-	h.Store(tid, pn+pnTag, tag)
-	h.Store(tid, pn+pnLen, uint64(len(payload)))
-	q.writeBlob(tid, blob, tag, payload) // async flushes, no fence
-	for {
-		tail = q.tail.Load()
-		if next := tail.next.Load(); next == nil {
-			idx := tail.index + 1
-			h.Store(tid, pn+pnIndex, idx)
-			vn.index = idx
-			if tail.next.CompareAndSwap(nil, vn) {
-				h.Store(tid, pn+pnLinked, 1)
-				h.Flush(tid, pn)
-				return tail, vn
-			}
-		} else {
-			q.tail.CompareAndSwap(tail, next)
-		}
-	}
-}
-
-// Enqueue appends payload (at most MaxPayload bytes): the one-element
-// batch. One blocking persist, covering the blob lines and the node
-// line together.
-func (q *Queue) Enqueue(tid int, payload []byte) {
-	q.EnqueueBatch(tid, [][]byte{payload})
-}
-
-// EnqueueBatch appends payloads in order with a single blocking
-// persist for the whole batch: each node's blob and line are written
-// and asynchronously flushed as in Enqueue, and one fence at the end
-// makes the entire batch durable. Sound for the same reason as
-// OptUnlinkedQ.EnqueueBatch: a linked-but-not-yet-durable node only
-// ever costs the crash its own unacknowledged enqueue (recovery
-// discards it via the seal check and accepts index gaps).
-func (q *Queue) EnqueueBatch(tid int, payloads [][]byte) {
-	if len(payloads) == 0 {
-		return
-	}
-	q.nodes.Enter(tid)
-	defer q.nodes.Exit(tid)
-	for _, payload := range payloads {
-		tail, vn := q.enqueueOne(tid, payload)
-		q.tail.CompareAndSwap(tail, vn)
-	}
-	q.h.Fence(tid) // the batch's single blocking persist
-}
-
-// EnqueueBatchUnfenced is the issue phase of EnqueueBatch alone —
-// every blob is sealed, linked and asynchronously flushed, with the
-// blocking SFENCE left to the caller. See the fixed-queue counterpart
-// (queues.OptUnlinkedQ.EnqueueBatchUnfenced) for the per-thread
-// ordering soundness argument; it transfers verbatim because blob
-// recovery likewise sorts surviving sealed nodes by index, accepts
-// gaps, and drops unsealed or unfenced suffixes as unacknowledged.
-// The caller must issue a covering Fence with the same tid before
-// reporting the batch acknowledged.
-func (q *Queue) EnqueueBatchUnfenced(tid int, payloads [][]byte) {
-	if len(payloads) == 0 {
-		return
-	}
-	q.nodes.Enter(tid)
-	defer q.nodes.Exit(tid)
-	for _, payload := range payloads {
-		tail, vn := q.enqueueOne(tid, payload)
-		q.tail.CompareAndSwap(tail, vn)
-	}
-}
-
-// dequeueOne CASes the head past the oldest node without persisting.
-// On success it returns the node holding the payload and the unlinked
-// previous head (to retire after a covering persist); on an empty
-// observation ok is false and taken is the observed head.
-func (q *Queue) dequeueOne(tid int) (taken, old *vnode, ok bool) {
-	for {
-		head := q.head.Load()
-		next := head.next.Load()
-		if next == nil {
-			return head, nil, false
-		}
-		if q.head.CompareAndSwap(head, next) {
-			return next, head, true
-		}
-	}
-}
-
-// writeLocalHeadIdx issues the asynchronous NTStore of idx into tid's
-// local line; durable only after a Fence by the same thread.
-func (q *Queue) writeLocalHeadIdx(tid int, idx uint64) {
-	q.h.NTStore(tid, q.localBase+pmem.Addr(tid)*pmem.CacheLineBytes, idx)
-}
-
-// retireAfterPersist releases the previously deferred node (slot and
-// blob) and defers old. Call only after a fence covering old's
-// dequeue: a slot reused before its dequeue is durable could lose a
-// never-delivered message across a crash.
-func (q *Queue) retireAfterPersist(tid int, old *vnode) {
-	if r := q.per[tid].nodeToRetire; r != nil {
-		q.nodes.Retire(tid, r.pnode)
-		if r.blob != 0 {
-			q.blobs.Retire(tid, r.blob)
-		}
-	}
-	q.per[tid].nodeToRetire = old
-}
-
-// Acked reports whether the queue is in acknowledgment mode.
-func (q *Queue) Acked() bool { return q.cfg.Acked }
-
-// DequeueLeased removes up to max payloads without issuing a single
-// persist instruction: the dequeued nodes and their blobs stay durable
-// and are redelivered by recovery until an acknowledgment covers them.
-// idxs are the payloads' queue indices; pass the last one to AckTo
-// once the payloads are processed. Ack mode only.
-func (q *Queue) DequeueLeased(tid, max int) (ps [][]byte, idxs []uint64) {
-	if !q.cfg.Acked {
-		panic("blobq: DequeueLeased on a queue without ack mode")
-	}
-	if max <= 0 {
-		return nil, nil
-	}
-	q.nodes.Enter(tid)
-	defer q.nodes.Exit(tid)
-	var takens []*vnode
-	for len(ps) < max {
-		taken, _, ok := q.dequeueOne(tid)
-		if !ok {
-			break
-		}
-		ps = append(ps, taken.payload)
-		idxs = append(idxs, taken.index)
-		takens = append(takens, taken)
-	}
-	if len(takens) > 0 {
-		q.ackMu.Lock()
-		q.inflight = append(q.inflight, takens...)
-		q.ackMu.Unlock()
-	}
-	return ps, idxs
-}
-
-// AckToUnfenced acknowledges every dequeued payload with index <= idx
-// with one NTStore of idx into tid's ack line; redundant acks cost
-// nothing. dirty reports whether a covering Fence plus CompleteAck is
-// still owed. See queues.OptUnlinkedQ.AckToUnfenced.
-func (q *Queue) AckToUnfenced(tid int, idx uint64) (dirty bool) {
-	if !q.cfg.Acked {
-		panic("blobq: AckToUnfenced on a queue without ack mode")
-	}
-	t := &q.per[tid]
-	q.ackMu.Lock()
-	redundant := idx <= q.ackDurable
-	q.ackMu.Unlock()
-	if redundant {
-		return t.pendingAckDirty
-	}
-	// Keep the ack line monotone within an unfenced window too: a lower
-	// ack must not overwrite a higher NTStored index (see
-	// queues.OptUnlinkedQ.AckToUnfenced).
-	if t.pendingAckDirty && idx <= t.pendingAckIdx {
-		return true
-	}
-	q.h.NTStore(tid, q.ackBase+pmem.Addr(tid)*pmem.CacheLineBytes, idx)
-	t.pendingAckIdx = idx
-	t.pendingAckDirty = true
-	return true
-}
-
-// CompleteAck finishes an unfenced acknowledgment after the caller's
-// fence: promotes the acked frontier and retires the covered in-flight
-// nodes and blobs (their slots may only be reused once the covering
-// ack index is durable, so recovery can filter stale contents).
-func (q *Queue) CompleteAck(tid int) {
-	t := &q.per[tid]
-	if !t.pendingAckDirty {
-		return
-	}
-	t.pendingAckDirty = false
-	q.ackMu.Lock()
-	if t.pendingAckIdx > q.ackDurable {
-		q.ackDurable = t.pendingAckIdx
-	}
-	live := q.inflight[:0]
-	for _, n := range q.inflight {
-		if n.index <= q.ackDurable {
-			q.nodes.Retire(tid, n.pnode)
-			if n.blob != 0 {
-				q.blobs.Retire(tid, n.blob)
-			}
-		} else {
-			live = append(live, n)
-		}
-	}
-	q.inflight = live
-	q.ackMu.Unlock()
-}
-
-// AckTo is the fenced form of AckToUnfenced: one NTStore plus one
-// blocking persist acknowledges the whole batch up to idx.
-func (q *Queue) AckTo(tid int, idx uint64) {
-	if q.AckToUnfenced(tid, idx) {
-		q.h.Fence(tid)
-	}
-	q.CompleteAck(tid)
-}
-
-// AckedTo reports the durably acknowledged index frontier.
-func (q *Queue) AckedTo() uint64 {
-	q.ackMu.Lock()
-	defer q.ackMu.Unlock()
-	return q.ackDurable
-}
-
-// Unacked snapshots the dequeued-but-unacknowledged payloads in index
-// order — the redelivery set a lease takeover hands to a new consumer.
-// Call only while no dequeue or ack runs on this queue.
-func (q *Queue) Unacked() (ps [][]byte, idxs []uint64) {
-	q.ackMu.Lock()
-	defer q.ackMu.Unlock()
-	ns := append([]*vnode(nil), q.inflight...)
-	sort.Slice(ns, func(i, j int) bool { return ns[i].index < ns[j].index })
-	for _, n := range ns {
-		ps = append(ps, n.payload)
-		idxs = append(idxs, n.index)
-	}
-	return ps, idxs
-}
-
-// Dequeue removes the oldest payload: the one-element batch dequeue,
-// so the fence accounting — one NTStore + one fence on success, full
-// elision on an already-durable empty observation — lives in
-// DequeueBatchUnfenced alone. One blocking persist; the payload is
-// served from the Volatile copy, never from flushed lines.
-func (q *Queue) Dequeue(tid int) ([]byte, bool) {
-	ps := q.DequeueBatch(tid, 1)
-	if len(ps) == 0 {
-		return nil, false
-	}
-	return ps[0], true
-}
-
-// DequeueBatch removes up to max payloads in FIFO order with a single
-// blocking persist for the whole batch: one NTStore of the final head
-// index plus one fence, sound because the per-thread head index is
-// monotone (recovery takes the maximum, so the last index covers all
-// earlier ones). The batch is acknowledged as a whole on return,
-// exactly dual to EnqueueBatch.
-func (q *Queue) DequeueBatch(tid, max int) [][]byte {
-	if q.cfg.Acked {
-		// Lease + immediate acknowledgment, riding the ack's single
-		// fence (see queues.OptUnlinkedQ.DequeueBatch in ack mode).
-		ps, idxs := q.DequeueLeased(tid, max)
-		if len(ps) > 0 {
-			q.AckTo(tid, idxs[len(idxs)-1])
-		}
-		return ps
-	}
-	ps, dirty := q.DequeueBatchUnfenced(tid, max)
-	if dirty {
-		q.h.Fence(tid) // the batch's single blocking persist
-		q.CompleteBatch(tid)
-	}
-	return ps
-}
-
-// DequeueBatchUnfenced is DequeueBatch with the blocking persist left
-// to the caller (see queues.OptUnlinkedQ.DequeueBatchUnfenced; package
-// broker fences once across many shards). dirty reports an outstanding
-// NTStore: the caller must Fence tid on the same heap and then call
-// CompleteBatch before treating the result as durable.
-func (q *Queue) DequeueBatchUnfenced(tid, max int) (ps [][]byte, dirty bool) {
-	if q.cfg.Acked {
-		panic("blobq: DequeueBatchUnfenced on an acked queue (use DequeueLeased/AckTo)")
-	}
-	if max <= 0 {
-		return nil, q.per[tid].pendingDirty
-	}
-	q.nodes.Enter(tid)
-	defer q.nodes.Exit(tid)
-	t := &q.per[tid]
-	var last *vnode
-	for len(ps) < max {
-		taken, old, ok := q.dequeueOne(tid)
-		if !ok {
-			if last == nil {
-				if taken.index > t.lastPersisted && !(t.pendingDirty && taken.index <= t.pendingIdx) {
-					q.writeLocalHeadIdx(tid, taken.index)
-					t.pendingIdx = taken.index
-					t.pendingDirty = true
-				}
-				return nil, t.pendingDirty
-			}
-			break
-		}
-		ps = append(ps, taken.payload)
-		t.pendingRetire = append(t.pendingRetire, old)
-		last = taken
-	}
-	q.writeLocalHeadIdx(tid, last.index) // one NTStore covers the batch
-	t.pendingIdx = last.index
-	t.pendingDirty = true
-	return ps, true
-}
-
-// CompleteBatch finishes an unfenced batch dequeue after the caller's
-// fence: promotes the pending head index to the elision cache and
-// retires the unlinked nodes (and their blobs) in one sweep.
-func (q *Queue) CompleteBatch(tid int) {
-	t := &q.per[tid]
-	if t.pendingDirty {
-		t.lastPersisted = t.pendingIdx
-		t.pendingDirty = false
-	}
-	for _, old := range t.pendingRetire {
-		q.retireAfterPersist(tid, old)
-	}
-	t.pendingRetire = t.pendingRetire[:0]
-}
-
-// Recover rebuilds the queue after a crash: a node is resurrected
-// only if it is linked, beyond the recovered consumption frontier, and
-// its blob is fully sealed with the node's tag. The frontier is the
-// maximum per-thread head index — or, in ack mode, the maximum
-// per-thread *acked* index, so leased-but-unacknowledged payloads are
-// redelivered and acknowledged ones never reappear. cfg.Acked must
-// match the mode the queue was created with; a mismatch is refused
-// rather than silently mis-scanned.
-func Recover(h *pmem.Heap, cfg Config) *Queue {
-	cfg.norm()
-	ackBase := pmem.Addr(h.Load(0, h.RootAddr(slotAck)))
-	if cfg.Acked != (ackBase != 0) {
-		panic(fmt.Sprintf("blobq: Recover with Acked=%v, but the heap holds an Acked=%v queue",
-			cfg.Acked, ackBase != 0))
-	}
-	localBase := pmem.Addr(h.Load(0, h.RootAddr(slotLocal)))
-	perT := make([]perThread, cfg.Threads)
-	var headIdx uint64
-	if cfg.Acked {
-		for t := 0; t < cfg.Threads; t++ {
-			if v := h.Load(0, ackBase+pmem.Addr(t)*pmem.CacheLineBytes); v > headIdx {
-				headIdx = v
-			}
-		}
-	} else {
-		for t := 0; t < cfg.Threads; t++ {
-			v := h.Load(0, localBase+pmem.Addr(t)*pmem.CacheLineBytes)
-			perT[t].lastPersisted = v // this thread's provably durable index
-			if v > headIdx {
-				headIdx = v
-			}
-		}
-	}
-	blobCfg := ssmem.Config{
-		SlotBytes: cfg.blobLines() * pmem.CacheLineBytes, SlotsPerArea: 1024,
-		Threads: cfg.Threads, RootSlot: slotBlobPool,
-	}
-	blobAreas := ssmem.Areas(h, blobCfg)
-
-	// Bump the boot incarnation first so tags minted after this
-	// recovery can never collide with pre-crash seals.
-	epoch := h.Load(0, h.RootAddr(slotEpoch)) + 1
-	h.Store(0, h.RootAddr(slotEpoch), epoch)
-	h.Persist(0, h.RootAddr(slotEpoch))
-
-	type rec struct {
-		pnode, blob pmem.Addr
-		idx, n      uint64
-	}
-	var live []rec
-	liveBlobs := map[pmem.Addr]bool{}
-	nodes := ssmem.RecoverPool(h, ssmem.Config{
-		SlotBytes: pmem.CacheLineBytes, SlotsPerArea: 4096,
-		Threads: cfg.Threads, RootSlot: slotPool,
-	}, func(a pmem.Addr) bool {
-		if h.Load(0, a+pnLinked) != 1 || h.Load(0, a+pnIndex) <= headIdx {
-			return false
-		}
-		blob := pmem.Addr(h.Load(0, a+pnBlob))
-		tag := h.Load(0, a+pnTag)
-		n := h.Load(0, a+pnLen)
-		if !ssmem.ValidSlot(blobAreas, blobCfg.SlotBytes, blob) ||
-			n > uint64(cfg.blobLines()*lineData) ||
-			!blobSealed(h, blob, tag, cfg.blobLines()) {
-			// Torn enqueue: the node's flag or index was evicted
-			// before the payload became durable; the operation was
-			// pending and is discarded.
-			return false
-		}
-		live = append(live, rec{pnode: a, blob: blob, idx: h.Load(0, a+pnIndex), n: n})
-		liveBlobs[blob] = true
-		return true
-	})
-	blobs := ssmem.RecoverPool(h, blobCfg, func(a pmem.Addr) bool { return liveBlobs[a] })
-
-	sort.Slice(live, func(i, j int) bool { return live[i].idx < live[j].idx })
-	q := &Queue{
-		h: h, cfg: cfg, nodes: nodes, blobs: blobs,
-		localBase: localBase, epoch: epoch, per: perT,
-		ackBase: ackBase,
-	}
-	if cfg.Acked {
-		q.ackDurable = headIdx
-	}
-	dummyPn := nodes.Alloc(0)
-	h.Store(0, dummyPn+pnLinked, 0)
-	h.Store(0, dummyPn+pnIndex, headIdx)
-	dummy := &vnode{index: headIdx, pnode: dummyPn}
-	prev := dummy
-	for _, r := range live {
-		vn := &vnode{
-			payload: readBlob(h, r.blob, int(r.n)),
-			index:   r.idx,
-			pnode:   r.pnode,
-			blob:    r.blob,
-		}
-		prev.next.Store(vn)
-		prev = vn
-	}
-	q.head.Store(dummy)
-	q.tail.Store(prev)
-	return q
 }

@@ -2,12 +2,14 @@ package blobq
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/pmem"
+	"repro/internal/queues"
 )
 
 func newHeap(mode pmem.Mode) *pmem.Heap {
@@ -166,6 +168,55 @@ func decodePayload(p []byte) (uint64, error) {
 	return v, nil
 }
 
+// codecCase is one payload codec the queue-layer crash tests run
+// over: blobq's sealed blobs, and the 8-byte word codec that broker
+// fixed topics run.
+type codecCase struct {
+	name    string
+	new     func(h *pmem.Heap, cfg Config) *queues.OptUnlinked[[]byte]
+	recover func(h *pmem.Heap, cfg Config) *queues.OptUnlinked[[]byte]
+	encode  func(v uint64) []byte // a self-checking payload for v
+	decode  func(p []byte) (uint64, error)
+}
+
+var codecs = []codecCase{
+	{
+		name:    "blob",
+		new:     func(h *pmem.Heap, cfg Config) *queues.OptUnlinked[[]byte] { return New(h, cfg).OptUnlinked },
+		recover: func(h *pmem.Heap, cfg Config) *queues.OptUnlinked[[]byte] { return Recover(h, cfg).OptUnlinked },
+		encode:  encodedPayload,
+		decode:  decodePayload,
+	},
+	{
+		name: "word8",
+		new: func(h *pmem.Heap, cfg Config) *queues.OptUnlinked[[]byte] {
+			return queues.NewOptUnlinked(h, cfg.Threads, cfg.InitTid, cfg.Acked, queues.Word8(h))
+		},
+		recover: func(h *pmem.Heap, cfg Config) *queues.OptUnlinked[[]byte] {
+			return queues.RecoverOptUnlinked(h, cfg.Threads, cfg.Acked, queues.Word8(h))
+		},
+		encode: word8Payload,
+		decode: decodeWord8,
+	},
+}
+
+// word8Payload packs v (below 2^32) with its complement check into
+// one 8-byte word payload.
+func word8Payload(v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(nil, v|^v<<32)
+}
+
+func decodeWord8(p []byte) (uint64, error) {
+	if len(p) != 8 {
+		return 0, fmt.Errorf("word payload is %d bytes", len(p))
+	}
+	w := binary.LittleEndian.Uint64(p)
+	if v := w & 0xffffffff; w>>32 != ^v&0xffffffff {
+		return v, fmt.Errorf("word payload %x: check mismatch", w)
+	}
+	return w & 0xffffffff, nil
+}
+
 // TestOneFenceZeroPostFlush: the generalized queue keeps both of the
 // paper's optimal characteristics despite multi-line items.
 func TestOneFenceZeroPostFlush(t *testing.T) {
@@ -244,13 +295,19 @@ func TestDequeueBatchOneFence(t *testing.T) {
 // unacknowledged window; acknowledged payloads never reappear and
 // whatever recovery resurrects is an intact FIFO suffix.
 func TestDequeueBatchCrash(t *testing.T) {
+	for _, cc := range codecs {
+		t.Run(cc.name, func(t *testing.T) { testDequeueBatchCrash(t, cc) })
+	}
+}
+
+func testDequeueBatchCrash(t *testing.T, cc codecCase) {
 	const n, window = 60, 6
 	for seed := int64(1); seed <= 5; seed++ {
 		h := newHeap(pmem.ModeCrash)
 		cfg := Config{Threads: 1}
-		q := New(h, cfg)
+		q := cc.new(h, cfg)
 		for i := 1; i <= n; i++ {
-			q.Enqueue(0, encodedPayload(uint64(i)))
+			q.Enqueue(0, cc.encode(uint64(i)))
 		}
 		rng := rand.New(rand.NewSource(seed))
 		h.ScheduleCrashAtAccess(h.AccessCount() + int64(rng.Intn(600)) + 1)
@@ -262,7 +319,7 @@ func TestDequeueBatchCrash(t *testing.T) {
 				break
 			}
 			for _, p := range ps {
-				v, err := decodePayload(p)
+				v, err := cc.decode(p)
 				if err != nil {
 					t.Fatalf("seed %d: delivered payload corrupt: %v", seed, err)
 				}
@@ -276,14 +333,14 @@ func TestDequeueBatchCrash(t *testing.T) {
 		}
 		h.FinalizeCrash(rand.New(rand.NewSource(seed * 17)))
 		h.Restart()
-		rq := Recover(h, cfg)
+		rq := cc.recover(h, cfg)
 		var recovered []uint64
 		for {
 			p, ok := rq.Dequeue(0)
 			if !ok {
 				break
 			}
-			v, err := decodePayload(p)
+			v, err := cc.decode(p)
 			if err != nil {
 				t.Fatalf("seed %d: recovered payload corrupt: %v", seed, err)
 			}
@@ -346,45 +403,42 @@ func TestQuiescentCrashRecovery(t *testing.T) {
 // recovery resurrects.
 func TestExhaustiveCrashPoints(t *testing.T) {
 	script := []bool{true, true, false, false, true, true, false, true, false, false}
-	// First measure the access count.
-	{
-		h := newHeap(pmem.ModeCrash)
-		q := New(h, Config{Threads: 1})
-		h.ScheduleCrashAtAccess(1 << 60)
-		runScript(q, script, nil)
-		total := h.AccessCount()
-		stride := int64(2)
-		if testing.Short() {
-			stride = 9
-		}
-		for k := int64(1); k <= total; k += stride {
-			testOneCrashPoint(t, script, k)
-		}
+	for _, cc := range codecs {
+		t.Run(cc.name, func(t *testing.T) {
+			// First measure the access count.
+			h := newHeap(pmem.ModeCrash)
+			q := cc.new(h, Config{Threads: 1})
+			h.ScheduleCrashAtAccess(1 << 60)
+			runScript(q, cc, script)
+			total := h.AccessCount()
+			stride := int64(2)
+			if testing.Short() {
+				stride = 9
+			}
+			for k := int64(1); k <= total; k += stride {
+				testOneCrashPoint(t, cc, script, k)
+			}
+		})
 	}
 }
 
-func runScript(q *Queue, script []bool, model *[]uint64) {
+func runScript(q *queues.OptUnlinked[[]byte], cc codecCase, script []bool) {
 	next := uint64(1)
 	for _, enq := range script {
 		if enq {
-			q.Enqueue(0, encodedPayload(next))
-			if model != nil {
-				*model = append(*model, next)
-			}
+			q.Enqueue(0, cc.encode(next))
 			next++
 		} else {
-			if _, ok := q.Dequeue(0); ok && model != nil {
-				*model = (*model)[1:]
-			}
+			q.Dequeue(0)
 		}
 	}
 }
 
-func testOneCrashPoint(t *testing.T, script []bool, k int64) {
+func testOneCrashPoint(t *testing.T, cc codecCase, script []bool, k int64) {
 	t.Helper()
 	h := newHeap(pmem.ModeCrash)
 	cfg := Config{Threads: 1}
-	q := New(h, cfg)
+	q := cc.new(h, cfg)
 	h.ScheduleCrashAtAccess(k)
 	var model []uint64
 	var pendingEnq *uint64
@@ -395,7 +449,7 @@ func testOneCrashPoint(t *testing.T, script []bool, k int64) {
 		v := next
 		crashed := pmem.Protect(func() {
 			if enq {
-				q.Enqueue(0, encodedPayload(v))
+				q.Enqueue(0, cc.encode(v))
 			} else {
 				q.Dequeue(0)
 			}
@@ -421,14 +475,14 @@ func testOneCrashPoint(t *testing.T, script []bool, k int64) {
 	}
 	h.FinalizeCrash(rand.New(rand.NewSource(k)))
 	h.Restart()
-	rq := Recover(h, cfg)
+	rq := cc.recover(h, cfg)
 	var got []uint64
 	for {
 		p, ok := rq.Dequeue(0)
 		if !ok {
 			break
 		}
-		v, err := decodePayload(p)
+		v, err := cc.decode(p)
 		if err != nil {
 			t.Fatalf("crash %d: corrupt recovered payload: %v", k, err)
 		}
@@ -541,11 +595,17 @@ func TestEnqueueBatchOneFence(t *testing.T) {
 // recovery byte-for-byte exactly once, acknowledged ones never
 // reappear.
 func TestAckedLeaseRedelivery(t *testing.T) {
+	for _, cc := range codecs {
+		t.Run(cc.name, func(t *testing.T) { testAckedLeaseRedelivery(t, cc) })
+	}
+}
+
+func testAckedLeaseRedelivery(t *testing.T, cc codecCase) {
 	h := newHeap(pmem.ModeCrash)
 	cfg := Config{Threads: 2, MaxPayload: 120, Acked: true}
-	q := New(h, cfg)
+	q := cc.new(h, cfg)
 	for i := uint64(1); i <= 20; i++ {
-		q.Enqueue(0, payloadFor(i, 9+int(i%100)))
+		q.Enqueue(0, cc.encode(i))
 	}
 	ps, idxs := q.DequeueLeased(1, 10)
 	if len(ps) != 10 {
@@ -561,17 +621,17 @@ func TestAckedLeaseRedelivery(t *testing.T) {
 	h.Restart()
 	if !func() (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		Recover(h, Config{Threads: 2, MaxPayload: 120})
+		cc.recover(h, Config{Threads: 2, MaxPayload: 120})
 		return
 	}() {
 		t.Fatal("Recover with Acked=false on an acked queue did not panic")
 	}
-	rq := Recover(h, cfg)
+	rq := cc.recover(h, cfg)
 
 	// Payloads 7..20 come back in order and intact; 1..6 are gone.
 	for want := uint64(7); want <= 20; want++ {
 		p, ok := rq.Dequeue(0)
-		if !ok || !bytes.Equal(p, payloadFor(want, 9+int(want%100))) {
+		if !ok || !bytes.Equal(p, cc.encode(want)) {
 			t.Fatalf("recovered payload %d missing or corrupted (ok=%v)", want, ok)
 		}
 	}

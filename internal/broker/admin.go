@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/blobq"
 	"repro/internal/dheap"
 	"repro/internal/obs"
 	"repro/internal/pmem"
-	"repro/internal/queues"
 )
 
 // Live broker administration. Open brings up a broker — empty on a
@@ -38,7 +36,8 @@ type Options struct {
 	// CatalogLines is the record capacity of the catalog log in cache
 	// lines when Open creates a fresh broker (default 1024 — a few
 	// hundred typical topics; a topic record spans 2 + shards/8 lines).
-	// Ignored on recovery: the log's recorded capacity is adopted.
+	// Ignored on recovery: the log's recorded capacity is adopted, and
+	// CompactCatalog is the way to grow it.
 	CatalogLines int
 	// Observer, when non-nil, receives per-op latency samples, topic
 	// and group gauges, and trace events for the broker's lifetime. Its
@@ -224,10 +223,8 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 		return nil, fmt.Errorf("broker: broker already has %d topics (max %d)", len(snap.list), maxCatTopics)
 	}
 	// Reserve log space up front so a full log cannot leak windows.
-	recLines := topicRecLines(tc.Shards)
-	if b.cat.next+recLines > b.cat.totalLines {
-		return nil, fmt.Errorf("broker: catalog log full (%d of %d lines used; CompactCatalog reclaims tombstone debris and can resize)",
-			b.cat.next, b.cat.totalLines)
+	if err := b.cat.checkRoom(topicRecLines(tc.Shards)); err != nil {
+		return nil, err
 	}
 	if snap.shardTotal+tc.Shards > maxCatShards {
 		return nil, fmt.Errorf("broker: global shard ordinal space exhausted (%d of %d; ordinals of deleted topics are never reissued)",
@@ -314,16 +311,8 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 				s = &shard{heapq: dheap.New(view, dheap.Config{
 					Threads: b.threads, MaxPayload: tc.MaxPayload, InitTid: tid,
 				})}
-			case tc.MaxPayload == 0:
-				if tc.Acked {
-					s = &shard{fixed: queues.NewOptUnlinkedQAckedAs(view, b.threads, tid)}
-				} else {
-					s = &shard{fixed: queues.NewOptUnlinkedQAs(view, b.threads, tid)}
-				}
 			default:
-				s = &shard{blob: blobq.New(view, blobq.Config{
-					Threads: b.threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked, InitTid: tid,
-				})}
+				s = &shard{q: newFIFO(view, b.threads, tid, tc)}
 			}
 			s.heap = hi
 			s.h = view
@@ -411,9 +400,8 @@ func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 	if group+1 > maxCatAckGroups {
 		return 0, fmt.Errorf("broker: broker already has %d ack groups (max %d)", group, maxCatAckGroups)
 	}
-	if b.cat.next+1 > b.cat.totalLines {
-		return 0, fmt.Errorf("broker: catalog log full (%d of %d lines used; reopen with a larger CatalogLines)",
-			b.cat.next, b.cat.totalLines)
+	if err := b.cat.checkRoom(1); err != nil {
+		return 0, err
 	}
 
 	hi := group % b.hs.Len()
@@ -486,10 +474,9 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 	// Reserve log space up front. A log too full for a tombstone but
 	// holding debris is compacted instead — the new generation simply
 	// omits the topic, which is the same atomic flip.
-	full := b.cat.next+tombstoneLines > b.cat.totalLines
-	if full && b.cat.deadLines == 0 {
-		return fmt.Errorf("broker: catalog log full (%d of %d lines used; CompactCatalog can resize it)",
-			b.cat.next, b.cat.totalLines)
+	errFull := b.cat.checkRoom(tombstoneLines)
+	if errFull != nil && b.cat.deadLines == 0 {
+		return errFull
 	}
 
 	// 1. Unpublish: swap a snapshot without the topic, flip its deleted
@@ -514,7 +501,7 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 	// 2 + 3. Tombstone: append, fence, anchor. Visible (the topic gone)
 	// only after the commit persist; a crash in between recovers the
 	// topic.
-	if full {
+	if errFull != nil {
 		if err := b.compactLocked(tid, 0); err != nil {
 			// Nothing durable changed; resurrect the volatile state.
 			t.deleted.Store(false)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -387,10 +388,11 @@ func TestSubscribeLiveTopics(t *testing.T) {
 	got := map[uint64]bool{}
 	for i := 0; i < g.Size(); i++ {
 		for {
-			m, ok := g.Consumer(i).Poll(i + 1)
-			if !ok {
+			ms := g.Consumer(i).PollBatch(i+1, 1)
+			if len(ms) == 0 {
 				break
 			}
+			m := ms[0]
 			if m.Topic != "second" {
 				t.Fatalf("unexpected topic %q", m.Topic)
 			}
@@ -437,6 +439,35 @@ func TestCatalogLogFull(t *testing.T) {
 	}
 	if p, ok := r.Topic("only").DequeueShard(0, 0); !ok || AsU64(p) != 5 {
 		t.Fatalf("recovered message = %v,%v", p, ok)
+	}
+}
+
+// TestCatalogFullAdvisesCompaction: both log-full refusals name the
+// remedy that works — CompactCatalog grows the log on the live broker,
+// whereas Open adopts the recorded capacity on recovery and ignores
+// CatalogLines — and following that advice makes the refused create
+// succeed.
+func TestCatalogFullAdvisesCompaction(t *testing.T) {
+	hs := pmem.NewSetOf(pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2}))
+	b, err := Open(hs, Options{Threads: 2, CatalogLines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateAckGroup(0, AckGroupConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	const advice = "CompactCatalog(tid, n)"
+	if _, err := b.CreateAckGroup(0, AckGroupConfig{}); err == nil || !strings.Contains(err.Error(), advice) {
+		t.Fatalf("second CreateAckGroup on a full log: err = %v, want advice %q", err, advice)
+	}
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "t", Shards: 1}); err == nil || !strings.Contains(err.Error(), advice) {
+		t.Fatalf("CreateTopic on a full log: err = %v, want advice %q", err, advice)
+	}
+	if err := b.CompactCatalog(0, 64); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateAckGroup(0, AckGroupConfig{}); err != nil {
+		t.Fatalf("CreateAckGroup after CompactCatalog(0, 64): %v", err)
 	}
 }
 

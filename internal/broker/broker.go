@@ -9,9 +9,10 @@
 // A Broker manages N topics, each split into M shards, spread over a
 // pmem.HeapSet — an ordered set of independent NVRAM domains (NUMA
 // sockets / DIMM sets). Every shard is an independent durable queue —
-// an OptUnlinkedQ for fixed 8-byte payloads or a blobq.Queue for
-// variable byte payloads — living in its own root-slot window of one
-// member heap (see pmem.View). Shard placement is pluggable: the
+// a queues.OptUnlinked of byte payloads, whose codec stores a fixed
+// 8-byte payload as the node's item word and a variable payload in
+// blobq blobs — living in its own root-slot window of one member heap
+// (see pmem.View). Shard placement is pluggable: the
 // default round-robin policy spreads load evenly across domains, the
 // block policy keeps contiguous shard ranges on one domain so that a
 // consumer owning them fences a single domain per poll (heap-affine
@@ -80,7 +81,7 @@
 // mis-assembled set from the real one. Recovery is two-phase: replay
 // the catalog on heap 0, then replay the paper's per-queue recovery
 // heap by heap (the per-heap phases run in parallel — domains are
-// independent). A delivery is durable when Poll returns: the winning
+// independent). A delivery is durable when PollBatch returns: the winning
 // dequeue's persist covers it, so a delivered message is never
 // re-delivered after a crash (delivered-or-recovered exactly once for
 // acknowledged publishes).
@@ -101,9 +102,9 @@ import (
 )
 
 // slotsPerShard is the root-slot window width handed to each FIFO
-// shard's queue. Eight covers the highest slot either queue kind uses
-// (blobq uses slots 2,3,6,7 plus 4 in ack mode; OptUnlinkedQ uses 2,3
-// plus 4 in ack mode).
+// shard's queue. Eight covers the highest slot it uses: the queue
+// takes slots 2 and 3 (node pool, local lines) plus 4 in ack mode, and
+// a sized topic's blobq codec adds 6 and 7 (blob pool, boot epoch).
 const slotsPerShard = 8
 
 // heapTopicSlots is the window width of a delay/priority shard: slot
@@ -126,7 +127,7 @@ type TopicKind int
 
 const (
 	// KindFIFO is the default: per-shard FIFO order on the paper's
-	// queues (OptUnlinkedQ / blobq).
+	// OptUnlinked queue.
 	KindFIFO TopicKind = iota
 	// KindDelay orders delivery by deadline: PublishAt(deadline)
 	// publishes, DequeueReady(now) delivers pop-min among messages
@@ -166,9 +167,11 @@ type TopicConfig struct {
 	// split over (>= 1). More shards mean more enqueue/dequeue
 	// parallelism at the cost of ordering only per shard.
 	Shards int
-	// MaxPayload selects the shard queue kind: 0 means fixed 8-byte
-	// payloads on OptUnlinkedQ (the cheapest path); > 0 means variable
-	// payloads up to MaxPayload bytes on blobq.Queue.
+	// MaxPayload selects the shard queue's payload codec: 0 means fixed
+	// 8-byte payloads held in the node's item word, the NVRAM layout of
+	// an OptUnlinkedQ (the cheapest path); > 0 means variable payloads
+	// up to MaxPayload bytes in sealed blobq blobs. Both kinds run the
+	// same queue protocol.
 	MaxPayload int
 	// Acked makes the topic's shards ack-mode queues: delivery is a
 	// durable lease (written before PollBatch returns) and a message is
@@ -262,63 +265,38 @@ type topicSet struct {
 	shardTotal int
 }
 
-// shard wraps one durable queue of either payload kind behind a
-// byte-payload interface, together with its placement: heap is the
-// member index (the fence domain), h the shard's root-slot view of it.
+// shard wraps one durable queue together with its placement: heap is
+// the member index (the fence domain), h the shard's root-slot view of
+// it. A FIFO shard's queue is the same type for both payload kinds;
+// only the codec it was built with differs (see newFIFO).
 type shard struct {
-	fixed *queues.OptUnlinkedQ // KindFIFO, MaxPayload == 0
-	blob  *blobq.Queue         // KindFIFO, MaxPayload > 0
-	heapq *dheap.Q             // KindDelay / KindPriority
+	q     *queues.OptUnlinked[[]byte] // KindFIFO
+	heapq *dheap.Q                    // KindDelay / KindPriority
 	heap  int
 	h     *pmem.Heap
 	acked bool
 }
 
-func (s *shard) publish(tid int, p []byte) {
-	if s.fixed != nil {
-		s.fixed.Enqueue(tid, binary.LittleEndian.Uint64(p))
-		return
+// newFIFO creates a FIFO shard's queue under tid. A fixed topic's
+// 8-byte payload is the node's item word, byte for byte an
+// OptUnlinkedQ's node; a sized topic's payload lives in blobq blobs.
+func newFIFO(view *pmem.Heap, threads, tid int, tc TopicConfig) *queues.OptUnlinked[[]byte] {
+	if tc.MaxPayload == 0 {
+		return queues.NewOptUnlinked(view, threads, tid, tc.Acked, queues.Word8(view))
 	}
-	s.blob.Enqueue(tid, p)
+	return blobq.New(view, blobq.Config{
+		Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked, InitTid: tid,
+	}).OptUnlinked
 }
 
-func (s *shard) publishBatch(tid int, ps [][]byte) {
-	if s.fixed != nil {
-		vs := make([]uint64, len(ps))
-		for i, p := range ps {
-			vs[i] = binary.LittleEndian.Uint64(p)
-		}
-		s.fixed.EnqueueBatch(tid, vs)
-		return
+// recoverFIFO rebuilds a FIFO shard's queue built by newFIFO.
+func recoverFIFO(view *pmem.Heap, threads int, tc TopicConfig) *queues.OptUnlinked[[]byte] {
+	if tc.MaxPayload == 0 {
+		return queues.RecoverOptUnlinked(view, threads, tc.Acked, queues.Word8(view))
 	}
-	s.blob.EnqueueBatch(tid, ps)
-}
-
-// publishBatchUnfenced issues the batch's stores and asynchronous
-// flushes but leaves the blocking fence to the caller (the pipelined
-// publish path — see Publisher). The batch must not be reported
-// acknowledged until the caller fences tid on this shard's heap.
-func (s *shard) publishBatchUnfenced(tid int, ps [][]byte) {
-	if s.fixed != nil {
-		vs := make([]uint64, len(ps))
-		for i, p := range ps {
-			vs[i] = binary.LittleEndian.Uint64(p)
-		}
-		s.fixed.EnqueueBatchUnfenced(tid, vs)
-		return
-	}
-	s.blob.EnqueueBatchUnfenced(tid, ps)
-}
-
-func (s *shard) consume(tid int) ([]byte, bool) {
-	if s.fixed != nil {
-		v, ok := s.fixed.Dequeue(tid)
-		if !ok {
-			return nil, false
-		}
-		return U64(v), true
-	}
-	return s.blob.Dequeue(tid)
+	return blobq.Recover(view, blobq.Config{
+		Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked,
+	}).OptUnlinked
 }
 
 // consumeBatchUnfenced dequeues up to max messages, recording the
@@ -326,103 +304,15 @@ func (s *shard) consume(tid int) ([]byte, bool) {
 // fence (and the node retires) to the caller, so one fence per touched
 // *heap* can cover several shards' dequeues in a single poll. dirty
 // reports an outstanding NTStore; the caller must fence the tid on the
-// shard's heap and then call completeBatch. On an acked shard the
+// shard's heap and then call q.CompleteBatch. On an acked shard the
 // batch is instead leased and acknowledged immediately (self-fenced,
 // one fence per shard): amortized acked consumption goes through
 // leased groups, not this path.
 func (s *shard) consumeBatchUnfenced(tid, max int) ([][]byte, bool) {
 	if s.acked {
-		if s.fixed != nil {
-			vs := s.fixed.DequeueBatch(tid, max)
-			if len(vs) == 0 {
-				return nil, false
-			}
-			ps := make([][]byte, len(vs))
-			for i, v := range vs {
-				ps[i] = U64(v)
-			}
-			return ps, false
-		}
-		ps := s.blob.DequeueBatch(tid, max)
-		if len(ps) == 0 {
-			return nil, false
-		}
-		return ps, false
+		return s.q.DequeueBatch(tid, max), false
 	}
-	if s.fixed != nil {
-		vs, dirty := s.fixed.DequeueBatchUnfenced(tid, max)
-		if len(vs) == 0 {
-			return nil, dirty
-		}
-		ps := make([][]byte, len(vs))
-		for i, v := range vs {
-			ps[i] = U64(v)
-		}
-		return ps, dirty
-	}
-	return s.blob.DequeueBatchUnfenced(tid, max)
-}
-
-func (s *shard) completeBatch(tid int) {
-	if s.fixed != nil {
-		s.fixed.CompleteBatch(tid)
-		return
-	}
-	s.blob.CompleteBatch(tid)
-}
-
-// consumeLeased dequeues up to max messages from an acked shard
-// without any persist instruction: the caller makes the delivery
-// durable by fencing its lease record before exposing the messages,
-// and the messages stay recoverable until ackTo covers them. idxs are
-// the shard-queue indices (contiguous under shard ownership).
-func (s *shard) consumeLeased(tid, max int) (ps [][]byte, idxs []uint64) {
-	if s.fixed != nil {
-		vs, idxs := s.fixed.DequeueLeased(tid, max)
-		if len(vs) == 0 {
-			return nil, nil
-		}
-		ps := make([][]byte, len(vs))
-		for i, v := range vs {
-			ps[i] = U64(v)
-		}
-		return ps, idxs
-	}
-	return s.blob.DequeueLeased(tid, max)
-}
-
-func (s *shard) ackToUnfenced(tid int, idx uint64) bool {
-	if s.fixed != nil {
-		return s.fixed.AckToUnfenced(tid, idx)
-	}
-	return s.blob.AckToUnfenced(tid, idx)
-}
-
-func (s *shard) completeAck(tid int) {
-	if s.fixed != nil {
-		s.fixed.CompleteAck(tid)
-		return
-	}
-	s.blob.CompleteAck(tid)
-}
-
-func (s *shard) ackedTo() uint64 {
-	if s.fixed != nil {
-		return s.fixed.AckedTo()
-	}
-	return s.blob.AckedTo()
-}
-
-func (s *shard) unacked() (ps [][]byte, idxs []uint64) {
-	if s.fixed != nil {
-		vs, idxs := s.fixed.Unacked()
-		ps := make([][]byte, len(vs))
-		for i, v := range vs {
-			ps[i] = U64(v)
-		}
-		return ps, idxs
-	}
-	return s.blob.Unacked()
+	return s.q.DequeueBatchUnfenced(tid, max)
 }
 
 // U64 encodes v as the 8-byte payload of a fixed topic.
@@ -516,14 +406,8 @@ func build(hs *pmem.HeapSet, threads int, lay layoutInfo) (*Broker, error) {
 					errMu.Unlock()
 				}
 				s.heapq = q
-			case tc.MaxPayload == 0 && tc.Acked:
-				s.fixed = queues.RecoverOptUnlinkedQAcked(view, threads)
-			case tc.MaxPayload == 0:
-				s.fixed = queues.RecoverOptUnlinkedQ(view, threads)
 			default:
-				s.blob = blobq.Recover(view, blobq.Config{
-					Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked,
-				})
+				s.q = recoverFIFO(view, threads, tc)
 			}
 			j.t.shards[j.si] = s
 		}

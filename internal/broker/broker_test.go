@@ -92,10 +92,11 @@ func TestPublishConsumeMultiTopic(t *testing.T) {
 	for i := 0; i < g.Size(); i++ {
 		c := g.Consumer(i)
 		for {
-			m, ok := c.Poll(i + 1)
-			if !ok {
+			ms := c.PollBatch(i+1, 1)
+			if len(ms) == 0 {
 				break
 			}
+			m := ms[0]
 			total++
 			id := AsU64(m.Payload[:8])
 			switch m.Topic {
@@ -136,12 +137,12 @@ func TestPollFairnessAfterIdle(t *testing.T) {
 	c := g.Consumer(0)
 	events := b.Topic("events")
 	events.Publish(0, U64(1)) // round-robin: lands on shard 0
-	if m, ok := c.Poll(0); !ok || AsU64(m.Payload) != 1 {
-		t.Fatalf("poll = %v,%v", m, ok)
+	if ms := c.PollBatch(0, 1); len(ms) != 1 || AsU64(ms[0].Payload) != 1 {
+		t.Fatalf("poll = %v", ms)
 	}
 	// Idle: two all-empty scans. The cursor must stay on shard 1.
 	for i := 0; i < 2; i++ {
-		if _, ok := c.Poll(0); ok {
+		if ms := c.PollBatch(0, 1); len(ms) != 0 {
 			t.Fatal("queue should be empty")
 		}
 	}
@@ -149,10 +150,9 @@ func TestPollFairnessAfterIdle(t *testing.T) {
 	events.Publish(0, U64(2)) // shard 1
 	events.Publish(0, U64(3)) // shard 2
 	events.Publish(0, U64(4)) // shard 0
-	m, ok := c.Poll(0)
-	if !ok || m.Shard != 1 || AsU64(m.Payload) != 2 {
-		t.Fatalf("first post-idle poll = shard %d payload %d, want shard 1 payload 2 (cursor was reset)",
-			m.Shard, AsU64(m.Payload))
+	ms := c.PollBatch(0, 1)
+	if len(ms) != 1 || ms[0].Shard != 1 || AsU64(ms[0].Payload) != 2 {
+		t.Fatalf("first post-idle poll = %v, want shard 1 payload 2 (cursor was reset)", ms)
 	}
 }
 
@@ -537,13 +537,7 @@ func brokerCrashRound(t *testing.T, seed int64, dequeueBatch, heaps int) {
 				runtime.Gosched()
 				var ms []Message
 				if pmem.Protect(func() {
-					if dequeueBatch == 1 {
-						if m, ok := cons.Poll(tid); ok {
-							ms = []Message{m}
-						}
-					} else {
-						ms = cons.PollBatch(tid, dequeueBatch)
-					}
+					ms = cons.PollBatch(tid, dequeueBatch)
 				}) {
 					return // crash mid-poll: the whole window is unacknowledged
 				}

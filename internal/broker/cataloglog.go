@@ -123,17 +123,21 @@ const (
 	maxCatalogLines = 1 << 20
 )
 
-// catChecksum mixes an arbitrary word sequence into a guard word; it
-// only needs to catch torn records and random corruption, not
-// adversaries (the same contract as leaseChecksum).
-func catChecksum(ws []uint64) uint64 {
-	s := uint64(catMagicV4)
+// checksum mixes a word sequence into a guard word, starting from a
+// per-format seed; it only needs to catch torn records and random
+// corruption, not adversaries. Catalog records and lease lines use it
+// with different seeds.
+func checksum(seed uint64, ws []uint64) uint64 {
+	s := seed
 	for i, x := range ws {
 		s ^= x + 0x9e3779b97f4a7c15*uint64(i+1)
 		s = s<<13 | s>>51
 	}
 	return s
 }
+
+// catChecksum is the catalog log's checksum.
+func catChecksum(ws []uint64) uint64 { return checksum(catMagicV4, ws) }
 
 // testHookAfterAppend, when non-nil, runs between a catalog record's
 // append fence and its commit stamp — the window in which a crash must
@@ -365,6 +369,18 @@ func (cl *catalogLog) writeRecordAt(tid int, base pmem.Addr, at int, hdr [7]uint
 	return 1 + len(body)
 }
 
+// checkRoom refuses when lines more do not fit in the log. Open
+// ignores Options.CatalogLines on recovery, so the refusal names the
+// remedy that works on the live broker: CompactCatalog reclaims
+// tombstone debris and resizes the log.
+func (cl *catalogLog) checkRoom(lines int) error {
+	if cl.next+lines > cl.totalLines {
+		return fmt.Errorf("broker: catalog log full (%d of %d lines used; grow it with CompactCatalog(tid, n))",
+			cl.next, cl.totalLines)
+	}
+	return nil
+}
+
 // appendRecord writes a record — header words 0..6 plus body lines —
 // at the log's free tail, fences it, then stamps and persists the
 // commit word. The record is visible (replayed by recovery) only after
@@ -372,9 +388,8 @@ func (cl *catalogLog) writeRecordAt(tid int, base pmem.Addr, at int, hdr [7]uint
 // the next append overwrites.
 func (cl *catalogLog) appendRecord(tid int, hdr [7]uint64, body [][8]uint64) error {
 	recLines := 1 + len(body)
-	if cl.next+recLines > cl.totalLines {
-		return fmt.Errorf("broker: catalog log full (%d of %d lines used; reopen with a larger CatalogLines)",
-			cl.next, cl.totalLines)
+	if err := cl.checkRoom(recLines); err != nil {
+		return err
 	}
 	h := cl.h
 	cl.writeRecordAt(tid, cl.base, cl.next, hdr, body)

@@ -12,7 +12,7 @@ import (
 )
 
 // ErrNotQuiescent reports a plain-group Subscribe attempted while a
-// member was inside Poll or PollBatch. The plain poll path reads
+// member was inside PollBatch. The plain poll path reads
 // member assignments without locks (that is what makes an idle plain
 // poll free), so Subscribe-while-polling would be a data race;
 // detection turns the race into this typed refusal. Detection is
@@ -20,7 +20,7 @@ import (
 // always refused, so a caller that retries until success and itself
 // guarantees no *new* polls start (the documented quiescence contract)
 // is safe.
-var ErrNotQuiescent = errors.New("broker: plain group not quiescent (member inside Poll/PollBatch)")
+var ErrNotQuiescent = errors.New("broker: plain group not quiescent (member inside PollBatch)")
 
 // ErrLeaseCapacity reports a topic whose shards' global ordinals
 // exceed the lease region's recorded capacity. Both binding paths —
@@ -290,7 +290,7 @@ func (b *Broker) NewGroupAcked(topicNames []string, n int, lc LeaseConfig) (*Gro
 	w := leaseWriter{g: g, tid: tid}
 	for _, r := range refs {
 		s := r.t.shards[r.shard]
-		floor := s.ackedTo()
+		floor := s.q.AckedTo()
 		r.deliveredTo, r.leasedTo = floor, floor
 		l, ok := g.region.readLeaseLine(r.global)
 		if ok {
@@ -324,14 +324,14 @@ func (b *Broker) NewGroupAcked(topicNames []string, n int, lc LeaseConfig) (*Gro
 // Concurrency is a hard contract, not advice. Acked groups may
 // Subscribe while members poll on their own tids: every member op
 // takes the consumer's lock, which Subscribe holds for all members.
-// Plain groups MUST be quiescent — no member may be inside Poll or
-// PollBatch — because the plain poll path deliberately reads member
+// Plain groups MUST be quiescent — no member may be inside PollBatch —
+// because the plain poll path deliberately reads member
 // assignments without locks (that is what makes an idle plain poll
 // free); Subscribe on a polling plain group is a data race with
 // undefined results, exactly like calling pmem stats readers on
 // running threads. Subscribe enforces the contract as far as it can
 // see: a plain-group Subscribe that observes any member inside
-// Poll/PollBatch refuses with ErrNotQuiescent instead of racing. The
+// PollBatch refuses with ErrNotQuiescent instead of racing. The
 // detection is one-sided — it cannot stop a poll that *starts* after
 // the check — so the caller must still guarantee members stay
 // stopped, but a violation now fails loudly instead of corrupting
@@ -381,7 +381,7 @@ func (g *Group) Subscribe(tid int, topicNames ...string) error {
 		w = leaseWriter{g: g, tid: tid}
 		for _, r := range refs {
 			s := r.t.shards[r.shard]
-			floor := s.ackedTo()
+			floor := s.q.AckedTo()
 			r.deliveredTo, r.leasedTo = floor, floor
 			l, ok := g.region.readLeaseLine(r.global)
 			if ok {
@@ -473,7 +473,7 @@ type Consumer struct {
 	// durable frontier. See membership.go.
 	fenced []fencedShard
 
-	// polling counts in-flight plain Poll/PollBatch calls. It exists
+	// polling counts in-flight plain PollBatch calls. It exists
 	// only so a plain-group Subscribe can detect a concurrent poll and
 	// refuse with ErrNotQuiescent; the cost on the hot path is one
 	// uncontended atomic add/sub on a line this member owns.
@@ -519,52 +519,6 @@ func (c *Consumer) Domains() []int {
 	return out
 }
 
-// Poll scans the member's shards round-robin and delivers the first
-// available message. ok is false when every owned shard was observed
-// empty. When Poll returns a message, the delivery is already durable
-// (the dequeue's persist covers it on a plain group; the lease record
-// on an acked one).
-func (c *Consumer) Poll(tid int) (Message, bool) {
-	if c.g.leased {
-		ms := c.PollBatch(tid, 1)
-		if len(ms) == 0 {
-			return Message{}, false
-		}
-		return ms[0], true
-	}
-	c.polling.Add(1)
-	defer c.polling.Add(-1)
-	o := c.g.b.obs
-	var start int64
-	if o != nil {
-		start = obs.Now()
-	}
-	for i := 0; i < len(c.refs); i++ {
-		r := c.refs[(c.next+i)%len(c.refs)]
-		if !r.t.enter() {
-			continue // topic retired: its shards read as empty
-		}
-		p, ok := r.t.shards[r.shard].consume(tid)
-		r.t.exit()
-		if ok {
-			c.next = (c.next + i + 1) % len(c.refs)
-			if o != nil {
-				r.t.ostats.Delivered(1)
-				r.cur.Advance(1)
-				o.Lat(tid, obs.OpPoll, start)
-				o.Event(tid, obs.OpPoll, r.t.ostats, r.shard)
-			}
-			return Message{Topic: r.t.Name(), Shard: r.shard, Payload: p}, true
-		}
-	}
-	// The cursor stays where it was: resetting it on an all-empty scan
-	// would permanently bias delivery toward low-numbered shards after
-	// any idle period. Empty scans also record no latency sample: an
-	// idle poll is free by design, and a spin-polling consumer would
-	// otherwise drown the delivery distribution in empty-scan samples.
-	return Message{}, false
-}
-
 // PollBatch drains up to max messages from the member's shards
 // round-robin, riding a single blocking persist per persistence
 // domain it dequeued from: each shard's batch dequeue issues one
@@ -592,7 +546,11 @@ func (c *Consumer) Poll(tid int) (Message, bool) {
 // delivery state itself survives crashes. Messages queued for
 // redelivery (by a takeover or a Nack) are served first, in index order per
 // shard; the batch stays redeliverable until Consumer.Ack covers it.
-// An empty result means every owned shard was observed empty.
+// An empty result means every owned shard was observed empty; such a
+// scan advances the cursor once per shard, all the way round, so an
+// idle period never biases delivery toward low-numbered shards, and it
+// records no latency sample. PollBatch(tid, 1) is the per-message
+// poll.
 func (c *Consumer) PollBatch(tid, max int) []Message {
 	if c.g.leased {
 		c.mu.Lock()
@@ -663,7 +621,7 @@ func (c *Consumer) PollBatch(tid, max int) []Message {
 			}
 		}
 		for _, s := range touched {
-			s.completeBatch(tid)
+			s.q.CompleteBatch(tid)
 		}
 	}
 	if o != nil && len(out) > 0 {
@@ -719,7 +677,7 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 			continue // topic retired: its shards read as empty
 		}
 		s := r.t.shards[r.shard]
-		ps, idxs := s.consumeLeased(tid, max-len(out))
+		ps, idxs := s.q.DequeueLeased(tid, max-len(out))
 		r.t.exit()
 		if len(ps) == 0 {
 			continue
@@ -737,7 +695,7 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 		r.unackedN += len(ps)
 		w.write(r.global, Lease{
 			Active: true, Owner: c.id, Epoch: r.epoch,
-			Lo: s.ackedTo() + 1, Hi: r.leasedTo,
+			Lo: s.q.AckedTo() + 1, Hi: r.leasedTo,
 			Deadline: deadline,
 		})
 	}
@@ -800,7 +758,7 @@ func (c *Consumer) Ack(tid int) (int, error) {
 		}
 		entered = append(entered, r.t)
 		s := r.t.shards[r.shard]
-		floor := s.ackedTo()
+		floor := s.q.AckedTo()
 		if r.deliveredTo <= floor {
 			continue
 		}
@@ -811,7 +769,7 @@ func (c *Consumer) Ack(tid int) (int, error) {
 			r.t.ostats.Acked(r.unackedN)
 		}
 		r.unackedN = 0
-		if s.ackToUnfenced(tid, r.deliveredTo) {
+		if s.q.AckToUnfenced(tid, r.deliveredTo) {
 			touched = append(touched, s)
 		}
 	}
@@ -830,7 +788,7 @@ func (c *Consumer) Ack(tid int) (int, error) {
 		}
 	}
 	for _, s := range touched {
-		s.completeAck(tid)
+		s.q.CompleteAck(tid)
 	}
 	// Like an empty poll, an Ack with nothing new to acknowledge costs
 	// nothing and records no sample.
@@ -881,7 +839,7 @@ func (c *Consumer) AckAsync(tid int) (int, error) {
 			continue
 		}
 		s := r.t.shards[r.shard]
-		floor := s.ackedTo()
+		floor := s.q.AckedTo()
 		if r.deliveredTo <= floor {
 			r.t.exit()
 			continue
@@ -891,7 +849,7 @@ func (c *Consumer) AckAsync(tid int) (int, error) {
 			r.t.ostats.Acked(r.unackedN)
 		}
 		r.unackedN = 0
-		if s.ackToUnfenced(tid, r.deliveredTo) {
+		if s.q.AckToUnfenced(tid, r.deliveredTo) {
 			c.asyncAcks = append(c.asyncAcks, s)
 		}
 		r.t.exit()
@@ -935,7 +893,7 @@ func (c *Consumer) drainAcks(tid int) {
 		}
 	}
 	for _, s := range c.asyncAcks {
-		s.completeAck(tid)
+		s.q.CompleteAck(tid)
 	}
 	c.asyncAcks = c.asyncAcks[:0]
 }
@@ -968,12 +926,12 @@ func (c *Consumer) Nack(tid int) (int, error) {
 			continue
 		}
 		s := r.t.shards[r.shard]
-		floor := s.ackedTo()
+		floor := s.q.AckedTo()
 		if r.deliveredTo <= floor {
 			r.t.exit()
 			continue
 		}
-		ps, idxs := s.unacked()
+		ps, idxs := s.q.Unacked()
 		r.t.exit()
 		for i := range ps {
 			if idxs[i] > r.deliveredTo {
@@ -1021,7 +979,7 @@ func (c *Consumer) Renew(tid int, deadline uint64) error {
 			continue // retired with the topic: no lease to maintain
 		}
 		s := r.t.shards[r.shard]
-		floor := s.ackedTo()
+		floor := s.q.AckedTo()
 		r.t.exit()
 		if r.leasedTo <= floor {
 			continue // nothing unacknowledged: no lease to maintain

@@ -20,7 +20,7 @@ import (
 // BEFORE returning messages, so a crashed-then-recovered observer can
 // always tell an in-flight message from a processed one; Consumer.Ack
 // advances the per-thread acked-index lines inside each shard queue
-// (see queues.OptUnlinkedQ ack mode), which are the source of truth
+// (see queues.OptUnlinked ack mode), which are the source of truth
 // for the processed frontier.
 //
 // Region layout (all single cache lines, so each write persists with
@@ -81,16 +81,7 @@ const (
 )
 
 // leaseChecksum mixes words 0..6 of a lease line into the guard word.
-// It only needs to catch torn lines and random corruption, not
-// adversaries.
-func leaseChecksum(w [8]uint64) uint64 {
-	s := uint64(leaseMagic)
-	for i := 0; i < 7; i++ {
-		s ^= w[i] + 0x9e3779b97f4a7c15*uint64(i+1)
-		s = s<<13 | s>>51
-	}
-	return s
-}
+func leaseChecksum(w [8]uint64) uint64 { return checksum(leaseMagic, w[:7]) }
 
 // packLease lays a lease out as one cache line of words.
 func packLease(l Lease) [8]uint64 {

@@ -194,8 +194,8 @@ func (g *Group) reassignLocked(tid, from int, targets []int) (shards, moved int)
 			continue
 		}
 		s := r.t.shards[r.shard]
-		floor := s.ackedTo()
-		ps, idxs := s.unacked()
+		floor := s.q.AckedTo()
+		ps, idxs := s.q.Unacked()
 		r.t.exit()
 		r.deliveredTo, r.pendingN, r.unackedN = floor, len(ps), 0
 		for i := range ps {
@@ -291,7 +291,7 @@ func (g *Group) Scan(tid int, now uint64) (ScanReport, error) {
 			// leaves an Active line behind with a deadline nobody
 			// maintains. Such a moot lease holds no obligation: the
 			// member is idle, not dead.
-			moot := r.t.shards[r.shard].ackedTo() >= r.leasedTo
+			moot := r.t.shards[r.shard].q.AckedTo() >= r.leasedTo
 			r.t.exit()
 			if moot {
 				continue
@@ -366,7 +366,7 @@ func (c *Consumer) Steal(tid int) (bool, int, error) {
 			if !r.t.enter() {
 				continue
 			}
-			moot := r.t.shards[r.shard].ackedTo() >= r.leasedTo
+			moot := r.t.shards[r.shard].q.AckedTo() >= r.leasedTo
 			r.t.exit()
 			if moot {
 				continue
@@ -418,8 +418,8 @@ func (g *Group) stealShardLocked(tid int, v, to *Consumer, ri int) int {
 		return 0
 	}
 	s := r.t.shards[r.shard]
-	floor := s.ackedTo()
-	ps, idxs := s.unacked()
+	floor := s.q.AckedTo()
+	ps, idxs := s.q.Unacked()
 	r.t.exit()
 	r.deliveredTo, r.pendingN, r.unackedN = floor, len(ps), 0
 	for i := range ps {

@@ -44,7 +44,7 @@ func obsWorkload(t *testing.T, b *Broker) {
 			break
 		}
 	}
-	if _, ok := c.Poll(0); ok {
+	if ms := c.PollBatch(0, 1); len(ms) != 0 {
 		t.Fatal("plain drain incomplete")
 	}
 

@@ -295,7 +295,7 @@ func TestAckAsyncDeferredFence(t *testing.T) {
 // --- Subscribe quiescence detection --------------------------------
 
 // TestSubscribeNotQuiescent pins the typed refusal: a plain-group
-// Subscribe that observes a member inside Poll/PollBatch returns
+// Subscribe that observes a member inside PollBatch returns
 // ErrNotQuiescent instead of racing, and proceeds once the member
 // quiesces. The in-flight poll is simulated directly through the
 // counter the poll paths maintain, which makes the race window

@@ -138,11 +138,11 @@ func (t *Topic) Publish(tid int, payload []byte) error {
 	// the fast path below is the whole unobserved operation.
 	o := t.b.obs
 	if o == nil {
-		t.shards[s].publish(tid, payload)
+		t.shards[s].q.Enqueue(tid, payload)
 		return nil
 	}
 	start := obs.Now()
-	t.shards[s].publish(tid, payload)
+	t.shards[s].q.Enqueue(tid, payload)
 	o.Lat(tid, obs.OpPublish, start)
 	t.ostats.Published(s, 1)
 	o.Event(tid, obs.OpPublish, t.ostats, s)
@@ -170,11 +170,11 @@ func (t *Topic) PublishKey(tid int, key, payload []byte) error {
 	s := int(h % uint64(len(t.shards)))
 	o := t.b.obs
 	if o == nil {
-		t.shards[s].publish(tid, payload)
+		t.shards[s].q.Enqueue(tid, payload)
 		return nil
 	}
 	start := obs.Now()
-	t.shards[s].publish(tid, payload)
+	t.shards[s].q.Enqueue(tid, payload)
 	o.Lat(tid, obs.OpPublish, start)
 	t.ostats.Published(s, 1)
 	o.Event(tid, obs.OpPublish, t.ostats, s)
@@ -183,7 +183,7 @@ func (t *Topic) PublishKey(tid int, key, payload []byte) error {
 
 // PublishBatch routes the whole batch to the next shard round-robin
 // and enqueues it with a single blocking persist (see
-// queues.OptUnlinkedQ.EnqueueBatch): the amortized publish path. The
+// queues.OptUnlinked.EnqueueBatch): the amortized publish path. The
 // batch is acknowledged as a whole when PublishBatch returns nil; a
 // crash before that acknowledges none of it (messages that happened to
 // become durable are recovered, which is allowed — they were simply
@@ -207,11 +207,11 @@ func (t *Topic) PublishBatch(tid int, payloads [][]byte) error {
 	s := int(t.rr.Add(1)-1) % len(t.shards)
 	o := t.b.obs
 	if o == nil {
-		t.shards[s].publishBatch(tid, payloads)
+		t.shards[s].q.EnqueueBatch(tid, payloads)
 		return nil
 	}
 	start := obs.Now()
-	t.shards[s].publishBatch(tid, payloads)
+	t.shards[s].q.EnqueueBatch(tid, payloads)
 	o.Lat(tid, obs.OpPublish, start)
 	t.ostats.Published(s, len(payloads))
 	o.Event(tid, obs.OpPublish, t.ostats, s)
@@ -239,7 +239,7 @@ func (t *Topic) DequeueShard(tid, shard int) ([]byte, bool) {
 		return nil, false
 	}
 	defer t.exit()
-	return t.shards[shard].consume(tid)
+	return t.shards[shard].q.Dequeue(tid)
 }
 
 // Kind reports the topic's delivery-order kind.

@@ -49,14 +49,16 @@ type BrokerConfig struct {
 	// per-message path (one fence per message), larger values measure
 	// the amortized batch path (one fence per batch).
 	Batch int
-	// DequeueBatch is the number of messages per consumer poll: 1
-	// measures the per-message Poll path (one fence per delivery, plus
-	// one per empty scan that moved the head), larger values measure
-	// PollBatch (a single fence covering up to DequeueBatch deliveries
-	// across all of the member's shards).
+	// DequeueBatch is the most messages one PollBatch delivers: 1
+	// measures the per-message path (one fence per delivery, plus one
+	// per empty scan that moved a head), larger values the amortized
+	// path (a single fence per domain covering up to DequeueBatch
+	// deliveries across all of the member's shards).
 	DequeueBatch int
 	// Payload is the message size in bytes; 0 selects fixed 8-byte
-	// topics on OptUnlinkedQ, > 0 variable-payload topics on blobq.
+	// topics, whose payload is the queue node's item word, > 0
+	// variable-payload topics whose payloads live in blobq blobs. Both
+	// run the same queues.OptUnlinked.
 	Payload int
 	// Ack enables acknowledged delivery: topics are created Acked, the
 	// group is a leased one (NewGroupAcked) and every consumer
@@ -374,8 +376,8 @@ func (r BrokerResult) ProducerFencesPerMsg() float64 {
 }
 
 // ConsumerFencesPerMsg returns blocking persists per delivered
-// message — ~1 on the per-message Poll path, dropping toward
-// 1/DequeueBatch on the PollBatch path (empty-poll elision keeps
+// message — ~1 at DequeueBatch 1, dropping toward 1/DequeueBatch
+// for larger batches (empty-poll elision keeps
 // failing polls from inflating it). 0 when nothing was delivered.
 func (r BrokerResult) ConsumerFencesPerMsg() float64 {
 	if r.Delivered == 0 {
@@ -769,12 +771,6 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 				drained := false
 				pol := drainPolicy()
 				poll := func() int {
-					if cfg.DequeueBatch == 1 {
-						if _, ok := cons.Poll(tid); ok {
-							return 1
-						}
-						return 0
-					}
 					n := len(cons.PollBatch(tid, pol.Size()))
 					pol.Observe(n)
 					return n
@@ -1168,11 +1164,7 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 	idleCons := g.Consumer(0)
 	idle := hs.DeltaOf(idleTid)
 	for i := 0; i < idlePolls; i++ {
-		if cfg.DequeueBatch == 1 {
-			idleCons.Poll(idleTid)
-		} else {
-			idleCons.PollBatch(idleTid, cfg.DequeueBatch)
-		}
+		idleCons.PollBatch(idleTid, cfg.DequeueBatch)
 	}
 	res.IdlePolls = idlePolls
 	res.IdlePollFences = idle.Delta().Fences

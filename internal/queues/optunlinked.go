@@ -1,6 +1,7 @@
 package queues
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -10,9 +11,12 @@ import (
 	"repro/internal/ssmem"
 )
 
-// OptUnlinkedQ is the second-amendment queue of Section 6.1 and
+// OptUnlinked is the second-amendment queue of Section 6.1 and
 // Appendix B (Figure 4): one blocking persist per operation and zero
-// accesses to explicitly flushed content.
+// accesses to explicitly flushed content. Its items are of type T,
+// laid out in NVRAM by a Codec: OptUnlinkedQ holds one uint64 word per
+// node, package blobq's codec spans items over sealed side lines (the
+// paper's footnote 3). The protocol below never branches on the codec.
 //
 // Every logical node is split in two. The Persistent part
 // [item, index, linked] lives in simulated NVRAM, is flushed exactly
@@ -23,21 +27,22 @@ import (
 // index of UnlinkedQ becomes a per-thread head index written with
 // non-temporal stores (Section 6.3), so dequeues never touch a flushed
 // line either.
-type OptUnlinkedQ struct {
-	h    *pmem.Heap
-	pool *ssmem.Pool
-	head atomic.Pointer[ouNode]
-	tail atomic.Pointer[ouNode]
+type OptUnlinked[T any] struct {
+	h     *pmem.Heap
+	codec Codec[T]
+	pool  *ssmem.Pool
+	head  atomic.Pointer[ouNode[T]]
+	tail  atomic.Pointer[ouNode[T]]
 	// localBase anchors one persistent cache line per thread holding
 	// that thread's head index; recovery takes the maximum.
 	localBase pmem.Addr
-	per       []ouThread
+	per       []ouThread[T]
 	// plainStoreLocal replaces the movnti write of the local head
 	// index with an ordinary store + flush (the pre-Section-6.3
 	// design); ablation only.
 	plainStoreLocal bool
 
-	// Ack mode (NewOptUnlinkedQAcked): dequeues become leases. A leased
+	// Ack mode (acked constructors): dequeues become leases. A leased
 	// dequeue issues no persist instructions at all; the dequeued node
 	// stays durable until AckTo covers its index, and recovery
 	// resurrects everything beyond the maximum per-thread *acked* index
@@ -51,30 +56,56 @@ type OptUnlinkedQ struct {
 	// broker maintains, but keeps concurrent dequeuers (the generic
 	// harnesses drive them) coherent.
 	ackMu      sync.Mutex
-	inflight   []*ouNode // dequeued, unacknowledged; retired only once covered by a durable ack
-	ackDurable uint64    // highest acked index covered by a completed fence
+	inflight   []*ouNode[T] // dequeued, unacknowledged; retired only once covered by a durable ack
+	ackDurable uint64       // highest acked index covered by a completed fence
+}
+
+// OptUnlinkedQ is the paper's queue of uint64 items, one word per node.
+type OptUnlinkedQ = OptUnlinked[uint64]
+
+// Codec is an OptUnlinked queue's item format. The queue owns the
+// index and linked words of every node line; the codec owns the rest
+// of the line and any side storage an item needs. Each method runs at
+// one fixed point of the protocol, so a codec cannot add a fence.
+type Codec[T any] interface {
+	// Write stores v into node line pn and its side storage before the
+	// node is linked, issuing asynchronous flushes only: the
+	// operation's single fence covers them. It returns the Volatile
+	// copy every normal-path read is served from, and the side storage
+	// handle (0 for none).
+	Write(tid int, pn pmem.Addr, v T) (item T, side pmem.Addr)
+	// Release frees the side storage of a node being retired.
+	Release(tid int, side pmem.Addr)
+	// Load validates and loads the item of a linked node beyond the
+	// recovered frontier. ok false discards the node as a torn
+	// enqueue: its operation was pending at the crash.
+	Load(pn pmem.Addr) (item T, side pmem.Addr, ok bool)
+	// Recover runs scan, the node-pool scan that calls Load, between
+	// the codec's own recovery steps (boot epoch, side pools).
+	Recover(scan func())
 }
 
 // ouNode is the Volatile half of a node.
-type ouNode struct {
-	item  uint64
+type ouNode[T any] struct {
+	item  T
 	index uint64
-	next  atomic.Pointer[ouNode]
+	next  atomic.Pointer[ouNode[T]]
 	pnode pmem.Addr
+	side  pmem.Addr // the codec's side storage, 0 for none
 }
 
 // ouThread keeps one thread's hot dequeue/ack state; the field order
 // (uint64s before the bools) plus the tail padding keep the struct at
 // exactly one cache line, so adjacent per-thread entries never share a
 // line (false sharing would skew the persist-cost measurements).
-type ouThread struct {
-	nodeToRetire *ouNode
+type ouThread[T any] struct {
+	nodeToRetire *ouNode[T]
 	// pendingRetire accumulates the nodes unlinked by an unfenced batch
 	// dequeue; they are handed to the allocator only by CompleteBatch,
 	// after the caller's fence made the covering head index durable (a
 	// slot reused and overwritten before that fence could lose a message
 	// whose dequeue never became durable).
-	pendingRetire []*ouNode
+	pendingRetire []*ouNode[T]
 	// lastPersisted is the head index this thread most recently made
 	// durable (NTStore + completed fence) in its local line. A failing
 	// dequeue that observes the same index again elides its persist:
@@ -94,12 +125,50 @@ type ouThread struct {
 	_               [6]byte
 }
 
-// Persistent node layout.
+// Persistent node layout: the queue's two protocol words. Word 0 and
+// words 3..7 belong to the codec.
 const (
-	ouItem   = pmem.Addr(0)
 	ouIndex  = pmem.Addr(8)
 	ouLinked = pmem.Addr(16)
 )
+
+// wordCodec is OptUnlinkedQ's item format: the uint64 itself in word 0.
+type wordCodec struct{ h *pmem.Heap }
+
+func (c wordCodec) Write(tid int, pn pmem.Addr, v uint64) (uint64, pmem.Addr) {
+	c.h.Store(tid, pn, v) // line 112
+	return v, 0
+}
+
+func (wordCodec) Release(int, pmem.Addr) {}
+
+func (c wordCodec) Load(pn pmem.Addr) (uint64, pmem.Addr, bool) { return c.h.Load(0, pn), 0, true }
+
+func (wordCodec) Recover(scan func()) { scan() }
+
+// Word8 returns the codec of 8-byte payloads: the payload's
+// little-endian word is the node's word 0, byte for byte the node an
+// OptUnlinkedQ writes for that uint64. Write panics on any other
+// payload length.
+func Word8(h *pmem.Heap) Codec[[]byte] { return word8Codec{h} }
+
+type word8Codec struct{ h *pmem.Heap }
+
+func (c word8Codec) Write(tid int, pn pmem.Addr, p []byte) ([]byte, pmem.Addr) {
+	if len(p) != 8 {
+		panic(fmt.Sprintf("queues: Word8 payload must be 8 bytes, got %d", len(p)))
+	}
+	c.h.Store(tid, pn, binary.LittleEndian.Uint64(p))
+	return append([]byte(nil), p...), 0
+}
+
+func (word8Codec) Release(int, pmem.Addr) {}
+
+func (c word8Codec) Load(pn pmem.Addr) ([]byte, pmem.Addr, bool) {
+	return binary.LittleEndian.AppendUint64(nil, c.h.Load(0, pn)), 0, true
+}
+
+func (word8Codec) Recover(scan func()) { scan() }
 
 // NewOptUnlinkedQ creates an empty OptUnlinkedQ.
 func NewOptUnlinkedQ(h *pmem.Heap, threads int) *OptUnlinkedQ {
@@ -113,10 +182,19 @@ func NewOptUnlinkedQ(h *pmem.Heap, threads int) *OptUnlinkedQ {
 // must construct under a tid owned by the constructing goroutine, or
 // its fences would race another goroutine's pending-persist state.
 func NewOptUnlinkedQAs(h *pmem.Heap, threads, tid int) *OptUnlinkedQ {
-	q := &OptUnlinkedQ{
-		h:    h,
-		pool: newNodePoolAs(h, threads, tid),
-		per:  make([]ouThread, threads),
+	return NewOptUnlinked[uint64](h, threads, tid, false, wordCodec{h})
+}
+
+// NewOptUnlinked creates an empty queue of items laid out by c,
+// charging the construction persists to tid (see NewOptUnlinkedQAs);
+// acked selects acknowledgment mode (see NewOptUnlinkedQAcked).
+func NewOptUnlinked[T any](h *pmem.Heap, threads, tid int, acked bool, c Codec[T]) *OptUnlinked[T] {
+	q := &OptUnlinked[T]{
+		h:     h,
+		codec: c,
+		pool:  newNodePoolAs(h, threads, tid),
+		per:   make([]ouThread[T], threads),
+		acked: acked,
 	}
 	q.localBase = h.AllocRaw(tid, int64(threads)*pmem.CacheLineBytes, pmem.CacheLineBytes)
 	h.InitRange(tid, q.localBase, int64(threads)*pmem.CacheLineBytes)
@@ -124,9 +202,17 @@ func NewOptUnlinkedQAs(h *pmem.Heap, threads, tid int) *OptUnlinkedQ {
 	h.Persist(tid, h.RootAddr(slotLocal))
 
 	pn := q.pool.Alloc(tid) // fresh slot: zero index, unset linked
-	dummy := &ouNode{pnode: pn}
+	dummy := &ouNode[T]{pnode: pn}
 	q.head.Store(dummy)
 	q.tail.Store(dummy)
+
+	if acked {
+		size := int64(threads) * pmem.CacheLineBytes
+		q.ackBase = h.AllocRaw(tid, size, pmem.CacheLineBytes)
+		h.InitRange(tid, q.ackBase, size)
+		h.Store(tid, h.RootAddr(slotAck), uint64(q.ackBase))
+		h.Persist(tid, h.RootAddr(slotAck))
+	}
 	return q
 }
 
@@ -156,18 +242,11 @@ func NewOptUnlinkedQAcked(h *pmem.Heap, threads int) *OptUnlinkedQ {
 // NewOptUnlinkedQAckedAs is NewOptUnlinkedQAcked charging construction
 // persists to tid (see NewOptUnlinkedQAs).
 func NewOptUnlinkedQAckedAs(h *pmem.Heap, threads, tid int) *OptUnlinkedQ {
-	q := NewOptUnlinkedQAs(h, threads, tid)
-	q.acked = true
-	size := int64(threads) * pmem.CacheLineBytes
-	q.ackBase = h.AllocRaw(tid, size, pmem.CacheLineBytes)
-	h.InitRange(tid, q.ackBase, size)
-	h.Store(tid, h.RootAddr(slotAck), uint64(q.ackBase))
-	h.Persist(tid, h.RootAddr(slotAck))
-	return q
+	return NewOptUnlinked[uint64](h, threads, tid, true, wordCodec{h})
 }
 
 // Acked reports whether the queue is in acknowledgment mode.
-func (q *OptUnlinkedQ) Acked() bool { return q.acked }
+func (q *OptUnlinked[T]) Acked() bool { return q.acked }
 
 // DequeueLeased removes up to max items without issuing a single
 // persist instruction: the dequeued nodes stay durable in NVRAM and
@@ -176,7 +255,7 @@ func (q *OptUnlinkedQ) Acked() bool { return q.acked }
 // are the items' queue indices (contiguous and ascending under the
 // one-consumer-per-queue discipline); pass the last one to AckTo once
 // the items are processed. Ack mode only.
-func (q *OptUnlinkedQ) DequeueLeased(tid, max int) (vs, idxs []uint64) {
+func (q *OptUnlinked[T]) DequeueLeased(tid, max int) (vs []T, idxs []uint64) {
 	if !q.acked {
 		panic("optunlinkedq: DequeueLeased on a queue without ack mode")
 	}
@@ -185,7 +264,7 @@ func (q *OptUnlinkedQ) DequeueLeased(tid, max int) (vs, idxs []uint64) {
 	}
 	q.pool.Enter(tid)
 	defer q.pool.Exit(tid)
-	var takens []*ouNode
+	var takens []*ouNode[T]
 	for len(vs) < max {
 		taken, _, ok := q.dequeueOne(tid)
 		if !ok {
@@ -209,7 +288,7 @@ func (q *OptUnlinkedQ) DequeueLeased(tid, max int) (vs, idxs []uint64) {
 	return vs, idxs
 }
 
-func (q *OptUnlinkedQ) ackLineAddr(tid int) pmem.Addr {
+func (q *OptUnlinked[T]) ackLineAddr(tid int) pmem.Addr {
 	return q.ackBase + pmem.Addr(tid)*pmem.CacheLineBytes
 }
 
@@ -220,7 +299,7 @@ func (q *OptUnlinkedQ) ackLineAddr(tid int) pmem.Addr {
 // nothing. Sound for the same reason as the head-index amortization:
 // per-thread ack indices are monotone and recovery takes the maximum,
 // so the last index covers every earlier one.
-func (q *OptUnlinkedQ) AckToUnfenced(tid int, idx uint64) (dirty bool) {
+func (q *OptUnlinked[T]) AckToUnfenced(tid int, idx uint64) (dirty bool) {
 	if !q.acked {
 		panic("optunlinkedq: AckToUnfenced on a queue without ack mode")
 	}
@@ -251,7 +330,7 @@ func (q *OptUnlinkedQ) AckToUnfenced(tid int, idx uint64) (dirty bool) {
 // covering fence keeps recovery sound: a crash while a reused slot is
 // half-written can at worst resurrect the slot's stale contents, whose
 // index is <= the durable acked frontier and is therefore filtered.
-func (q *OptUnlinkedQ) CompleteAck(tid int) {
+func (q *OptUnlinked[T]) CompleteAck(tid int) {
 	t := &q.per[tid]
 	if !t.pendingAckDirty {
 		return
@@ -264,7 +343,7 @@ func (q *OptUnlinkedQ) CompleteAck(tid int) {
 	live := q.inflight[:0]
 	for _, n := range q.inflight {
 		if n.index <= q.ackDurable {
-			q.pool.Retire(tid, n.pnode)
+			q.retire(tid, n)
 		} else {
 			live = append(live, n)
 		}
@@ -276,7 +355,7 @@ func (q *OptUnlinkedQ) CompleteAck(tid int) {
 // AckTo is the fenced form of AckToUnfenced: one NTStore plus one
 // blocking persist acknowledges the whole batch of items up to idx
 // (zero of either when the ack is redundant).
-func (q *OptUnlinkedQ) AckTo(tid int, idx uint64) {
+func (q *OptUnlinked[T]) AckTo(tid int, idx uint64) {
 	if q.AckToUnfenced(tid, idx) {
 		q.h.Fence(tid)
 	}
@@ -284,7 +363,7 @@ func (q *OptUnlinkedQ) AckTo(tid int, idx uint64) {
 }
 
 // AckedTo reports the durably acknowledged index frontier.
-func (q *OptUnlinkedQ) AckedTo() uint64 {
+func (q *OptUnlinked[T]) AckedTo() uint64 {
 	q.ackMu.Lock()
 	defer q.ackMu.Unlock()
 	return q.ackDurable
@@ -293,10 +372,10 @@ func (q *OptUnlinkedQ) AckedTo() uint64 {
 // Unacked snapshots the dequeued-but-unacknowledged items in index
 // order — the redelivery set a lease takeover hands to a new consumer.
 // Call only while no dequeue or ack runs on this queue.
-func (q *OptUnlinkedQ) Unacked() (vs, idxs []uint64) {
+func (q *OptUnlinked[T]) Unacked() (vs []T, idxs []uint64) {
 	q.ackMu.Lock()
 	defer q.ackMu.Unlock()
-	ns := append([]*ouNode(nil), q.inflight...)
+	ns := append([]*ouNode[T](nil), q.inflight...)
 	sort.Slice(ns, func(i, j int) bool { return ns[i].index < ns[j].index })
 	for _, n := range ns {
 		vs = append(vs, n.item)
@@ -305,14 +384,14 @@ func (q *OptUnlinkedQ) Unacked() (vs, idxs []uint64) {
 	return vs, idxs
 }
 
-func (q *OptUnlinkedQ) localHeadIdxAddr(tid int) pmem.Addr {
+func (q *OptUnlinked[T]) localHeadIdxAddr(tid int) pmem.Addr {
 	return q.localBase + pmem.Addr(tid)*pmem.CacheLineBytes
 }
 
 // writeLocalHeadIdx issues the (asynchronous) write of idx into tid's
 // persistent local line; a subsequent Fence by the same thread makes
 // it durable.
-func (q *OptUnlinkedQ) writeLocalHeadIdx(tid int, idx uint64) {
+func (q *OptUnlinked[T]) writeLocalHeadIdx(tid int, idx uint64) {
 	a := q.localHeadIdxAddr(tid)
 	if q.plainStoreLocal {
 		q.h.Store(tid, a, idx) // pays NVM read latency once flushed
@@ -329,12 +408,16 @@ func (q *OptUnlinkedQ) writeLocalHeadIdx(tid int, idx uint64) {
 // the caller can order its fence and tail advance; EnqueueBatch (which
 // Enqueue wraps) advances immediately and rides one fence for the
 // whole batch.
-func (q *OptUnlinkedQ) enqueueOne(tid int, v uint64) (tail, vn *ouNode) {
+func (q *OptUnlinked[T]) enqueueOne(tid int, v T) (tail, vn *ouNode[T]) {
 	h := q.h
 	pn := q.pool.Alloc(tid)
-	vn = &ouNode{item: v, pnode: pn}
-	h.Store(tid, pn+ouItem, v)   // line 112
+	// linked is cleared before the codec writes: a reused slot whose
+	// stale linked flag and index survive a crash mid-write then never
+	// pairs them with the new item's words (Assumption 1 orders stores
+	// to one line).
 	h.Store(tid, pn+ouLinked, 0) // line 113
+	vn = &ouNode[T]{pnode: pn}
+	vn.item, vn.side = q.codec.Write(tid, pn, v)
 	for {
 		tail = q.tail.Load()
 		if next := tail.next.Load(); next == nil {
@@ -355,8 +438,8 @@ func (q *OptUnlinkedQ) enqueueOne(tid int, v uint64) (tail, vn *ouNode) {
 // Enqueue appends v (Figure 4, lines 107-124): the one-element batch.
 // One fence, zero post-flush accesses: the tail's index is read from
 // the Volatile object, never from the flushed Persistent line.
-func (q *OptUnlinkedQ) Enqueue(tid int, v uint64) {
-	q.EnqueueBatch(tid, []uint64{v})
+func (q *OptUnlinked[T]) Enqueue(tid int, v T) {
+	q.EnqueueBatch(tid, []T{v})
 }
 
 // EnqueueBatch appends vs in order, riding a single fence for the
@@ -369,7 +452,7 @@ func (q *OptUnlinkedQ) Enqueue(tid int, v uint64) {
 // accepts gaps, dropping exactly the unacknowledged enqueues. The
 // batch is acknowledged as a whole when EnqueueBatch returns: at that
 // point all of its nodes are durable.
-func (q *OptUnlinkedQ) EnqueueBatch(tid int, vs []uint64) {
+func (q *OptUnlinked[T]) EnqueueBatch(tid int, vs []T) {
 	if len(vs) == 0 {
 		return
 	}
@@ -398,7 +481,7 @@ func (q *OptUnlinkedQ) EnqueueBatch(tid int, vs []uint64) {
 // index and accepts gaps). The caller must therefore not report the
 // batch as acknowledged until it has issued a covering Fence on this
 // queue's heap with the same tid.
-func (q *OptUnlinkedQ) EnqueueBatchUnfenced(tid int, vs []uint64) {
+func (q *OptUnlinked[T]) EnqueueBatchUnfenced(tid int, vs []T) {
 	if len(vs) == 0 {
 		return
 	}
@@ -418,7 +501,7 @@ func (q *OptUnlinkedQ) EnqueueBatchUnfenced(tid int, vs []uint64) {
 // empty observation ok is false and taken is the observed head, whose
 // index the caller persists (or elides) to durably linearize the empty
 // response.
-func (q *OptUnlinkedQ) dequeueOne(tid int) (taken, old *ouNode, ok bool) {
+func (q *OptUnlinked[T]) dequeueOne(tid int) (taken, old *ouNode[T], ok bool) {
 	for {
 		head := q.head.Load()
 		next := head.next.Load()
@@ -434,11 +517,19 @@ func (q *OptUnlinkedQ) dequeueOne(tid int) (taken, old *ouNode, ok bool) {
 // retireAfterPersist hands old to the deferred-retirement cell (Figure
 // 4, lines 102-105), releasing the previously deferred node. Call only
 // after a fence covering old's dequeue.
-func (q *OptUnlinkedQ) retireAfterPersist(tid int, old *ouNode) {
+func (q *OptUnlinked[T]) retireAfterPersist(tid int, old *ouNode[T]) {
 	if r := q.per[tid].nodeToRetire; r != nil {
-		q.pool.Retire(tid, r.pnode)
+		q.retire(tid, r)
 	}
 	q.per[tid].nodeToRetire = old
+}
+
+// retire hands n's slot and side storage back for reuse.
+func (q *OptUnlinked[T]) retire(tid int, n *ouNode[T]) {
+	q.pool.Retire(tid, n.pnode)
+	if n.side != 0 {
+		q.codec.Release(tid, n.side)
+	}
 }
 
 // Dequeue removes the oldest item (Figure 4, lines 90-106): the
@@ -446,10 +537,10 @@ func (q *OptUnlinkedQ) retireAfterPersist(tid int, old *ouNode) {
 // one fence on success, full elision on an already-durable empty
 // observation — lives in DequeueBatchUnfenced alone. One fence, zero
 // post-flush accesses.
-func (q *OptUnlinkedQ) Dequeue(tid int) (uint64, bool) {
+func (q *OptUnlinked[T]) Dequeue(tid int) (v T, ok bool) {
 	vs := q.DequeueBatch(tid, 1)
 	if len(vs) == 0 {
-		return 0, false
+		return v, false
 	}
 	return vs[0], true
 }
@@ -465,7 +556,7 @@ func (q *OptUnlinkedQ) Dequeue(tid int) (uint64, bool) {
 // crash mid-batch redelivers (or, if the unfenced NTStore happened to
 // land, consumes) only items of the unacknowledged window. An empty
 // result means the queue was observed empty.
-func (q *OptUnlinkedQ) DequeueBatch(tid, max int) []uint64 {
+func (q *OptUnlinked[T]) DequeueBatch(tid, max int) []T {
 	if q.acked {
 		// Lease + immediate acknowledgment: the batch is processed the
 		// moment it is returned, riding the ack's single fence. An empty
@@ -496,7 +587,7 @@ func (q *OptUnlinkedQ) DequeueBatch(tid, max int) []uint64 {
 // CompleteBatch before treating the items (or the empty observation)
 // as durable. No other operation may run on this queue with this tid
 // in between.
-func (q *OptUnlinkedQ) DequeueBatchUnfenced(tid, max int) (vs []uint64, dirty bool) {
+func (q *OptUnlinked[T]) DequeueBatchUnfenced(tid, max int) (vs []T, dirty bool) {
 	if q.acked {
 		panic("optunlinkedq: DequeueBatchUnfenced on an acked queue (use DequeueLeased/AckTo)")
 	}
@@ -506,7 +597,7 @@ func (q *OptUnlinkedQ) DequeueBatchUnfenced(tid, max int) (vs []uint64, dirty bo
 	q.pool.Enter(tid)
 	defer q.pool.Exit(tid)
 	t := &q.per[tid]
-	var last *ouNode
+	var last *ouNode[T]
 	for len(vs) < max {
 		taken, old, ok := q.dequeueOne(tid)
 		if !ok {
@@ -536,7 +627,7 @@ func (q *OptUnlinkedQ) DequeueBatchUnfenced(tid, max int) (vs []uint64, dirty bo
 // fence: it promotes the pending head index to lastPersisted and
 // retires the unlinked nodes in one sweep (keeping the newest in the
 // deferred cell, as in Dequeue).
-func (q *OptUnlinkedQ) CompleteBatch(tid int) {
+func (q *OptUnlinked[T]) CompleteBatch(tid int) {
 	t := &q.per[tid]
 	if t.pendingDirty {
 		t.lastPersisted = t.pendingIdx
@@ -554,23 +645,7 @@ func (q *OptUnlinkedQ) CompleteBatch(tid int) {
 // matching Volatile objects are materialized and chained in index
 // order.
 func RecoverOptUnlinkedQ(h *pmem.Heap, threads int) *OptUnlinkedQ {
-	if pmem.Addr(h.Load(0, h.RootAddr(slotAck))) != 0 {
-		panic("optunlinkedq: queue was created in ack mode; use RecoverOptUnlinkedQAcked")
-	}
-	localBase := pmem.Addr(h.Load(0, h.RootAddr(slotLocal)))
-	perThread := make([]ouThread, threads)
-	var headIdx uint64
-	for t := 0; t < threads; t++ {
-		v := h.Load(0, localBase+pmem.Addr(t)*pmem.CacheLineBytes)
-		// Seed the elision cache with what this thread provably
-		// persisted before the crash; its next failing dequeue at a
-		// higher index will persist again.
-		perThread[t].lastPersisted = v
-		if v > headIdx {
-			headIdx = v
-		}
-	}
-	return recoverOptUnlinked(h, threads, headIdx, perThread)
+	return RecoverOptUnlinked[uint64](h, threads, false, wordCodec{h})
 }
 
 // RecoverOptUnlinkedQAcked rebuilds an ack-mode queue after a crash.
@@ -579,63 +654,83 @@ func RecoverOptUnlinkedQ(h *pmem.Heap, threads int) *OptUnlinkedQ {
 // leased out and possibly delivered, but never acknowledged — is
 // resurrected for redelivery. Acknowledged items never reappear.
 func RecoverOptUnlinkedQAcked(h *pmem.Heap, threads int) *OptUnlinkedQ {
-	ackBase := pmem.Addr(h.Load(0, h.RootAddr(slotAck)))
-	if ackBase == 0 {
-		panic("optunlinkedq: RecoverOptUnlinkedQAcked on a heap holding no ack-mode queue")
-	}
-	var ackIdx uint64
-	for t := 0; t < threads; t++ {
-		if v := h.Load(0, ackBase+pmem.Addr(t)*pmem.CacheLineBytes); v > ackIdx {
-			ackIdx = v
-		}
-	}
-	q := recoverOptUnlinked(h, threads, ackIdx, make([]ouThread, threads))
-	q.acked = true
-	q.ackBase = ackBase
-	q.ackDurable = ackIdx
-	return q
+	return RecoverOptUnlinked[uint64](h, threads, true, wordCodec{h})
 }
 
-// recoverOptUnlinked is the shared recovery body: resurrect every
-// linked Persistent object whose index exceeds the given frontier and
-// chain the matching Volatile objects in index order.
-func recoverOptUnlinked(h *pmem.Heap, threads int, headIdx uint64, perThread []ouThread) *OptUnlinkedQ {
-	localBase := pmem.Addr(h.Load(0, h.RootAddr(slotLocal)))
-	type rec struct {
-		addr pmem.Addr
-		idx  uint64
+// RecoverOptUnlinked rebuilds a queue of items laid out by c after a
+// crash: every linked Persistent object beyond the recovered frontier
+// that c validates is resurrected, and the matching Volatile objects
+// are chained in index order. acked must match the mode the queue was
+// created in; a mismatch is refused rather than silently mis-scanned.
+func RecoverOptUnlinked[T any](h *pmem.Heap, threads int, acked bool, c Codec[T]) *OptUnlinked[T] {
+	ackBase := pmem.Addr(h.Load(0, h.RootAddr(slotAck)))
+	if acked != (ackBase != 0) {
+		panic(fmt.Sprintf("optunlinkedq: recovery with acked=%v, but the heap holds an acked=%v queue",
+			acked, ackBase != 0))
 	}
-	var live []rec
-	pool := recoverNodePool(h, threads, func(a pmem.Addr) bool {
-		if h.Load(0, a+ouLinked) == 1 && h.Load(0, a+ouIndex) > headIdx {
-			live = append(live, rec{a, h.Load(0, a+ouIndex)})
-			return true
+	localBase := pmem.Addr(h.Load(0, h.RootAddr(slotLocal)))
+	perThread := make([]ouThread[T], threads)
+	// The frontier is the maximum per-thread acked index in ack mode,
+	// else the maximum per-thread head index.
+	lines := localBase
+	if acked {
+		lines = ackBase
+	}
+	var headIdx uint64
+	for t := 0; t < threads; t++ {
+		v := h.Load(0, lines+pmem.Addr(t)*pmem.CacheLineBytes)
+		if !acked {
+			// Seed the elision cache with what this thread provably
+			// persisted before the crash; its next failing dequeue at a
+			// higher index will persist again.
+			perThread[t].lastPersisted = v
 		}
-		return false
-	})
-	sort.Slice(live, func(i, j int) bool { return live[i].idx < live[j].idx })
-	for i := 1; i < len(live); i++ {
-		if live[i].idx == live[i-1].idx {
-			panic(fmt.Sprintf("optunlinkedq recovery: duplicate index %d", live[i].idx))
+		if v > headIdx {
+			headIdx = v
 		}
 	}
 
-	q := &OptUnlinkedQ{h: h, pool: pool, localBase: localBase, per: perThread}
+	var live []*ouNode[T]
+	var pool *ssmem.Pool
+	c.Recover(func() {
+		pool = recoverNodePool(h, threads, func(a pmem.Addr) bool {
+			if h.Load(0, a+ouLinked) != 1 {
+				return false
+			}
+			idx := h.Load(0, a+ouIndex)
+			if idx <= headIdx {
+				return false
+			}
+			item, side, ok := c.Load(a)
+			if ok {
+				live = append(live, &ouNode[T]{item: item, index: idx, pnode: a, side: side})
+			}
+			return ok
+		})
+	})
+	sort.Slice(live, func(i, j int) bool { return live[i].index < live[j].index })
+	for i := 1; i < len(live); i++ {
+		if live[i].index == live[i-1].index {
+			panic(fmt.Sprintf("optunlinkedq recovery: duplicate index %d", live[i].index))
+		}
+	}
+
+	q := &OptUnlinked[T]{
+		h: h, codec: c, pool: pool, localBase: localBase, per: perThread,
+		acked: acked, ackBase: ackBase,
+	}
+	if acked {
+		q.ackDurable = headIdx
+	}
 	dummyPn := pool.Alloc(0)
 	h.Store(0, dummyPn+ouLinked, 0)
 	h.Store(0, dummyPn+ouIndex, headIdx)
-	dummy := &ouNode{index: headIdx, pnode: dummyPn}
-	prev := dummy
-	for _, r := range live {
-		vn := &ouNode{
-			item:  h.Load(0, r.addr+ouItem),
-			index: r.idx,
-			pnode: r.addr,
-		}
-		prev.next.Store(vn)
-		prev = vn
+	prev := &ouNode[T]{index: headIdx, pnode: dummyPn}
+	q.head.Store(prev)
+	for _, n := range live {
+		prev.next.Store(n)
+		prev = n
 	}
-	q.head.Store(dummy)
 	q.tail.Store(prev)
 	return q
 }

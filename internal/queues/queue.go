@@ -15,7 +15,9 @@
 //   - LinkedQ       — first amendment, Figure 3: one fence per
 //     operation, persisted links, validity flags, backward links.
 //   - OptUnlinkedQ  — second amendment, Figure 4: one fence per
-//     operation and zero accesses to flushed content.
+//     operation and zero accesses to flushed content. It is
+//     OptUnlinked[uint64]; the protocol is generic over an item Codec,
+//     which package blobq and the broker's 8-byte topics plug into.
 //   - OptLinkedQ    — second amendment, Figures 5-6.
 //
 // All queues share the same root-slot convention on the heap so that
